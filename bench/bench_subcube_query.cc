@@ -6,8 +6,14 @@
 // Expected shape: the synchronized path's cost tracks resident rows; the
 // un-synchronized path pays a responsibility re-check per candidate row, so
 // it costs more — the price of querying without waiting for synchronization.
+//
+// Every benchmark here runs with the query cache disabled
+// (DWRED_CACHE_DISABLED=1, as bench_vm_compile's cold rows): the same query
+// repeats every iteration, so a cache would time lookups, not evaluation.
 
 #include "bench_common.h"
+
+#include <cstdlib>
 
 #include "exec/thread_pool.h"
 #include "subcube/manager.h"
@@ -21,6 +27,13 @@ struct Warehouse {
   std::shared_ptr<PredExpr> pred;
   std::vector<CategoryId> gran;
   int64_t t;
+};
+
+/// Disables the query cache (results and compiled programs) for the
+/// lifetime of one benchmark.
+struct CacheOff {
+  CacheOff() { ::setenv("DWRED_CACHE_DISABLED", "1", 1); }
+  ~CacheOff() { ::unsetenv("DWRED_CACHE_DISABLED"); }
 };
 
 Warehouse MakeWarehouse(size_t per_month, bool leave_unsynced) {
@@ -60,6 +73,7 @@ Warehouse MakeWarehouse(size_t per_month, bool leave_unsynced) {
 }
 
 void BM_QuerySynchronized(benchmark::State& state) {
+  CacheOff cache_off;
   Warehouse wh = MakeWarehouse(static_cast<size_t>(state.range(0)), false);
   (void)wh.mgr->Synchronize(wh.t);
   for (auto _ : state) {
@@ -83,6 +97,7 @@ BENCHMARK(BM_QuerySynchronized)
     ->Unit(benchmark::kMillisecond);
 
 void BM_QuerySynchronizedParallel(benchmark::State& state) {
+  CacheOff cache_off;
   // Section 7.3's "separately and in parallel": one thread per subcube.
   Warehouse wh = MakeWarehouse(static_cast<size_t>(state.range(0)), false);
   (void)wh.mgr->Synchronize(wh.t);
@@ -103,6 +118,7 @@ BENCHMARK(BM_QuerySynchronizedParallel)
     ->Unit(benchmark::kMillisecond);
 
 void BM_QueryUnsynchronized(benchmark::State& state) {
+  CacheOff cache_off;
   Warehouse wh = MakeWarehouse(static_cast<size_t>(state.range(0)), true);
   for (auto _ : state) {
     auto r = wh.mgr->Query(wh.pred.get(), &wh.gran, wh.t, false);
@@ -128,6 +144,7 @@ BENCHMARK(BM_QueryUnsynchronized)
 // sharded Select/AggregateFormation underneath it, at pool sizes 1..8. One
 // invocation records the sweep in the JSON sidecar (see bench_main.cc).
 void BM_QueryThreadSweep(benchmark::State& state) {
+  CacheOff cache_off;
   const size_t per_month = static_cast<size_t>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
   Warehouse wh = MakeWarehouse(per_month, false);

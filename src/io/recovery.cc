@@ -11,7 +11,6 @@
 #include "reduce/dynamics.h"
 #include "runtime/cancel.h"
 #include "spec/parser.h"
-#include "storage/column.h"
 #include "testing/fault.h"
 
 namespace dwred {
@@ -208,28 +207,16 @@ std::string SaveDurableState(uint64_t applied_lsn,
       // byte-identical to the pre-segmentation flat layout (the manifest —
       // including per-segment column encodings — is a physical property and
       // is rebuilt canonically on load).
-      if (storage::ColumnarEnabled()) {
-        t.ForEachBatch(0, t.num_rows(), [&](const FactTable::BatchView& b) {
-          for (size_t i = 0; i < b.rows(); ++i) {
-            for (size_t d = 0; d < t.num_dims(); ++d) {
-              wire::PutU32(&s, b.dim_col(d)[i]);
-            }
-            for (size_t m = 0; m < t.num_measures(); ++m) {
-              wire::PutI64(&s, b.meas_col(m)[i]);
-            }
+      t.ForEachBatch(0, t.num_rows(), [&](const FactTable::BatchView& b) {
+        for (size_t i = 0; i < b.rows(); ++i) {
+          for (size_t d = 0; d < t.num_dims(); ++d) {
+            wire::PutU32(&s, b.dim_col(d)[i]);
           }
-        });
-      } else {
-        t.ForEachRow(0, t.num_rows(),
-                     [&](RowId, const FactTable::RowRef& row) {
-                       for (size_t d = 0; d < t.num_dims(); ++d) {
-                         wire::PutU32(&s, row.coord(d));
-                       }
-                       for (size_t m = 0; m < t.num_measures(); ++m) {
-                         wire::PutI64(&s, row.measure(m));
-                       }
-                     });
-      }
+          for (size_t m = 0; m < t.num_measures(); ++m) {
+            wire::PutI64(&s, b.meas_col(m)[i]);
+          }
+        }
+      });
     }
   }
   wire::PutU32(&s, Crc32(s));

@@ -9,7 +9,6 @@
 #include "obs/trace.h"
 #include "runtime/cancel.h"
 #include "scan/scan.h"
-#include "storage/column.h"
 #include "storage/fact_table.h"
 #include "vm/program.h"
 
@@ -19,27 +18,26 @@ namespace {
 
 using ActionPrograms = std::vector<std::shared_ptr<const vm::PredProgram>>;
 
-/// Per-action satisfaction test: the compiled 0/1 program when one is
-/// available, the tree interpreter otherwise — byte-identical either way
-/// (docs/COMPILATION.md). `w_pre` (when non-null) is this fact's
-/// batch-precomputed program weight (vm::PredProgram::EvalBatch over a
-/// column chunk); a kOutOfRange lane falls back exactly like per-row Eval.
-bool ActionSatisfied(const Action& a, const vm::PredProgram* prog,
+/// Per-action satisfaction test: with a compiled 0/1 program, `w` is the
+/// fact's batch-precomputed weight under it (vm::PredProgram::EvalBatch over
+/// a column chunk); without one, or on a kOutOfRange lane, the tree
+/// interpreter decides — byte-identical either way (docs/COMPILATION.md).
+bool ActionSatisfied(const Action& a, const vm::PredProgram* prog, double w,
                      const MultidimensionalObject& mo, FactId f,
-                     int64_t now_day, const double* w_pre = nullptr) {
+                     int64_t now_day) {
   if (prog != nullptr) {
-    const double w =
-        w_pre != nullptr ? *w_pre : prog->Eval(mo.FactCoords(f).data());
     if (w != vm::PredProgram::kOutOfRange) return w != 0.0;
     vm::CountFallback();  // coordinate interned after compilation
   }
   return EvalPredOnFact(*a.predicate, mo, f, now_day);
 }
 
+/// MaxSpecGran over optional compiled action programs: `action_w` holds the
+/// fact's weight under each of `progs` (both null: interpret every action).
 Result<std::vector<CategoryId>> MaxSpecGranImpl(
     const MultidimensionalObject& mo, const ReductionSpecification& spec,
     FactId f, int64_t now_day, ActionId* responsible, bool* deleted,
-    const ActionPrograms* progs, const double* action_w = nullptr) {
+    const ActionPrograms* progs, const double* action_w) {
   if (deleted) *deleted = false;
   std::vector<CategoryId> fact_gran = mo.Gran(f);
 
@@ -50,10 +48,9 @@ Result<std::vector<CategoryId>> MaxSpecGranImpl(
   for (size_t i = 0; i < spec.size(); ++i) {
     const Action& a = spec.action(static_cast<ActionId>(i));
     const vm::PredProgram* prog =
-        progs != nullptr && i < progs->size() ? (*progs)[i].get() : nullptr;
-    const double* w_pre =
-        action_w != nullptr && prog != nullptr ? &action_w[i] : nullptr;
-    if (!ActionSatisfied(a, prog, mo, f, now_day, w_pre)) continue;
+        progs != nullptr ? (*progs)[i].get() : nullptr;
+    const double w = prog != nullptr ? action_w[i] : 0.0;
+    if (!ActionSatisfied(a, prog, w, mo, f, now_day)) continue;
     if (a.deletes) {
       // Deletion dominates every aggregation level.
       if (deleted) *deleted = true;
@@ -93,16 +90,12 @@ Result<std::vector<CategoryId>> MaxSpecGranImpl(
   return best;
 }
 
-/// One compiled program per action, or an empty vector while the VM is
-/// disabled (null slots for predicates the compiler rejects).
+/// One compiled program per action (null slots for predicates the compiler
+/// rejects).
 ActionPrograms CompileActionPrograms(const MultidimensionalObject& mo,
                                      const ReductionSpecification& spec,
                                      int64_t now_day) {
   ActionPrograms progs;
-  if (!vm::Enabled()) {
-    vm::CountFallback();
-    return progs;
-  }
   progs.reserve(spec.size());
   const scan::AtomOracle oracle = vm::SpecAtomOracle(mo, now_day);
   for (size_t i = 0; i < spec.size(); ++i) {
@@ -123,7 +116,8 @@ Result<std::vector<CategoryId>> MaxSpecGran(const MultidimensionalObject& mo,
                                             FactId f, int64_t now_day,
                                             ActionId* responsible,
                                             bool* deleted) {
-  return MaxSpecGranImpl(mo, spec, f, now_day, responsible, deleted, nullptr);
+  return MaxSpecGranImpl(mo, spec, f, now_day, responsible, deleted, nullptr,
+                         nullptr);
 }
 
 Result<std::vector<ValueId>> CellOf(const MultidimensionalObject& mo,
@@ -216,7 +210,6 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
   // The per-action predicate programs and the measure fold, compiled once
   // for the whole pass (src/vm) and shared read-only by every shard.
   const ActionPrograms action_progs = CompileActionPrograms(mo, spec, now_day);
-  const ActionPrograms* progs = action_progs.empty() ? nullptr : &action_progs;
   const vm::FoldProgram fold = vm::FoldProgram::Compile(mo.measure_types());
 
   scan::ScanPlan plan = scan::PlanMoScan(mo.num_facts(), /*grain=*/1024);
@@ -235,13 +228,13 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
     if (!acc.error.ok()) return;
     std::vector<ValueId> cell(ndims);
     // Assigns one fact to its cell group; returns false when the shard must
-    // stop (acc.error set). `action_w` optionally carries the fact's
-    // batch-precomputed per-action program weights.
+    // stop (acc.error set). `action_w` carries the fact's batch-precomputed
+    // per-action program weights.
     auto process = [&](FactId f, const double* action_w) -> bool {
       ActionId responsible = kNoAction;
       bool deleted = false;
       auto gran_r = MaxSpecGranImpl(mo, spec, f, now_day, &responsible,
-                                    &deleted, progs, action_w);
+                                    &deleted, &action_progs, action_w);
       if (!gran_r.ok()) {
         acc.error = gran_r.status();
         return false;
@@ -306,38 +299,32 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
       }
       return true;
     };
-    if (storage::ColumnarEnabled() && progs != nullptr && ndims > 0) {
-      // Vectorized assignment: transpose row-major MO chunks into column
-      // scratch, evaluate every compiled action predicate chunk-at-a-time,
-      // then hand each fact its precomputed lane weights. Byte-identical to
-      // the per-fact path (vm::PredProgram::EvalBatch contract).
-      constexpr size_t kChunk = FactTable::kBatchRows;
-      const size_t nact = progs->size();
-      vm::PredProgram::BatchScratch scratch;
-      std::vector<ValueId> cols(ndims * kChunk);
-      std::vector<const ValueId*> colp(ndims);
-      for (size_t d = 0; d < ndims; ++d) colp[d] = cols.data() + d * kChunk;
-      std::vector<double> lanes(nact * kChunk);
-      std::vector<double> row_w(nact);
-      for (FactId f0 = begin; f0 < end; f0 += kChunk) {
-        const size_t n = std::min<size_t>(kChunk, end - f0);
-        for (size_t i = 0; i < n; ++i) {
-          const ValueId* row = mo.FactCoords(f0 + i).data();
-          for (size_t d = 0; d < ndims; ++d) cols[d * kChunk + i] = row[d];
-        }
-        for (size_t a = 0; a < nact; ++a) {
-          if (const vm::PredProgram* p = (*progs)[a].get()) {
-            p->EvalBatch(colp.data(), n, lanes.data() + a * kChunk, &scratch);
-          }
-        }
-        for (size_t i = 0; i < n; ++i) {
-          for (size_t a = 0; a < nact; ++a) row_w[a] = lanes[a * kChunk + i];
-          if (!process(f0 + i, row_w.data())) return;
+    // Vectorized assignment: transpose row-major MO chunks into column
+    // scratch, evaluate every compiled action predicate chunk-at-a-time,
+    // then hand each fact its precomputed lane weights (the
+    // vm::PredProgram::EvalBatch contract: bitwise the per-row weights).
+    constexpr size_t kChunk = FactTable::kBatchRows;
+    const size_t nact = action_progs.size();
+    vm::PredProgram::BatchScratch scratch;
+    std::vector<ValueId> cols(ndims * kChunk);
+    std::vector<const ValueId*> colp(ndims);
+    for (size_t d = 0; d < ndims; ++d) colp[d] = cols.data() + d * kChunk;
+    std::vector<double> lanes(nact * kChunk);
+    std::vector<double> row_w(nact);
+    for (FactId f0 = begin; f0 < end; f0 += kChunk) {
+      const size_t n = std::min<size_t>(kChunk, end - f0);
+      for (size_t i = 0; i < n; ++i) {
+        const ValueId* row = mo.FactCoords(f0 + i).data();
+        for (size_t d = 0; d < ndims; ++d) cols[d * kChunk + i] = row[d];
+      }
+      for (size_t a = 0; a < nact; ++a) {
+        if (const vm::PredProgram* p = action_progs[a].get()) {
+          p->EvalBatch(colp.data(), n, lanes.data() + a * kChunk, &scratch);
         }
       }
-    } else {
-      for (FactId f = begin; f < end; ++f) {
-        if (!process(f, nullptr)) return;
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t a = 0; a < nact; ++a) row_w[a] = lanes[a * kChunk + i];
+        if (!process(f0 + i, row_w.data())) return;
       }
     }
   });

@@ -5,7 +5,6 @@
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "spec/predicate_analysis.h"
-#include "storage/column.h"
 
 namespace dwred::scan {
 
@@ -191,37 +190,22 @@ MultidimensionalObject MaterializeMO(
   MultidimensionalObject mo(fact_type, dims, measures);
   std::vector<ValueId> coords(t.num_dims());
   std::vector<int64_t> meas(t.num_measures());
-  // Keep the names a full ToMO() would have produced so downstream
-  // output is identical whether or not segments were pruned.
-  auto add = [&](RowId r) {
-    Result<FactId> res = mo.AddFact(coords, meas);
-    DWRED_CHECK(res.ok());
-    if (static_cast<RowId>(res.value()) != r) {
-      mo.SetFactName(res.value(), "fact_" + std::to_string(r));
-    }
-  };
-  if (storage::ColumnarEnabled()) {
-    for (const exec::Shard& u : plan.units) {
-      t.ForEachBatch(u.begin, u.end, [&](const FactTable::BatchView& b) {
-        const RowId first = b.first_row();
-        for (size_t i = 0; i < b.rows(); ++i) {
-          for (size_t d = 0; d < coords.size(); ++d) {
-            coords[d] = b.dim_col(d)[i];
-          }
-          for (size_t m = 0; m < meas.size(); ++m) {
-            meas[m] = b.meas_col(m)[i];
-          }
-          add(first + i);
-        }
-      });
-    }
-    return mo;
-  }
   for (const exec::Shard& u : plan.units) {
-    t.ForEachRow(u.begin, u.end, [&](RowId r, const FactTable::RowRef& row) {
-      for (size_t d = 0; d < coords.size(); ++d) coords[d] = row.coord(d);
-      for (size_t m = 0; m < meas.size(); ++m) meas[m] = row.measure(m);
-      add(r);
+    t.ForEachBatch(u.begin, u.end, [&](const FactTable::BatchView& b) {
+      for (size_t i = 0; i < b.rows(); ++i) {
+        for (size_t d = 0; d < coords.size(); ++d) {
+          coords[d] = b.dim_col(d)[i];
+        }
+        for (size_t m = 0; m < meas.size(); ++m) meas[m] = b.meas_col(m)[i];
+        Result<FactId> res = mo.AddFact(coords, meas);
+        DWRED_CHECK(res.ok());
+        // Keep the names a full ToMO() would have produced so downstream
+        // output is identical whether or not segments were pruned.
+        const RowId r = b.first_row() + i;
+        if (static_cast<RowId>(res.value()) != r) {
+          mo.SetFactName(res.value(), "fact_" + std::to_string(r));
+        }
+      }
     });
   }
   return mo;

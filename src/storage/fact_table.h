@@ -12,16 +12,15 @@
 // touches the columns, and uses segments as the natural parallel shard unit.
 //
 // Sealing is also the compression point (docs/STORAGE.md "Columnar layout"):
-// when the columnar path is enabled (storage::ColumnarEnabled, kill switch
-// DWRED_COLUMNAR_DISABLED), a segment's columns are re-encoded at seal time —
-// per column, the cheapest of plain / dictionary / run-length by byte count
-// (storage/column.h) — and consumers iterate chunk-at-a-time through
-// ForEachBatch, which exposes each column of up to kBatchRows rows as a flat
-// pointer (zero-copy for plain columns, decoded into scratch otherwise).
+// a segment's columns are re-encoded at seal time — per column, the cheapest
+// of plain / dictionary / run-length by byte count (storage/column.h) — and
+// consumers iterate chunk-at-a-time through ForEachBatch, which exposes each
+// column of up to kBatchRows rows as a flat pointer (zero-copy for plain
+// columns, decoded into scratch otherwise).
 // The encoding is physical only: logical row order, ToMO / snapshot / digest
-// bytes, and every query result are byte-identical with the layout on or
-// off, at any thread count — the segment layout is deliberately never
-// serialized, exactly like the segment manifest.
+// bytes, and every query result are byte-identical to the plain layout, at
+// any thread count — the segment layout is deliberately never serialized,
+// exactly like the segment manifest.
 //
 // Rows are addressed by *logical* RowId: the position among live rows in
 // insertion order. Segmentation and tombstones are purely physical — they
@@ -113,8 +112,7 @@ class FactTable {
   uint64_t content_version() const { return content_version_; }
 
   /// Appends one row to the tail segment (sealing it — and encoding its
-  /// columns when the columnar path is enabled — when it reaches the row
-  /// budget).
+  /// columns — when it reaches the row budget).
   RowId Append(std::span<const ValueId> coords,
                std::span<const int64_t> measures);
 
@@ -311,8 +309,8 @@ class FactTable {
   /// One physical segment: dense columns over at most segment_rows_ rows,
   /// a tombstone bitmap (empty when no row is dead), and zone maps over the
   /// live rows. A segment's columns live either in `dims`/`meas` (plain:
-  /// the mutable tail, or sealed with the columnar path disabled) or in
-  /// `edims`/`emeas` (encoded at seal time), never both.
+  /// the mutable tail) or in `edims`/`emeas` (encoded at seal time), never
+  /// both.
   struct Segment {
     std::vector<std::vector<ValueId>> dims;   ///< [ndims][physical rows]
     std::vector<std::vector<int64_t>> meas;   ///< [nmeas][physical rows]
@@ -374,7 +372,7 @@ class FactTable {
   }
   /// Resident payload bytes of one segment.
   size_t SegmentDataBytesOf(const Segment& s) const;
-  /// Seals the tail; encodes its columns when the columnar path is enabled.
+  /// Seals the tail and encodes its columns.
   void SealSegment(Segment& s);
   /// Moves a segment's columns into their cheapest encodings (column.h).
   void EncodeSegment(Segment& s) const;
@@ -383,7 +381,7 @@ class FactTable {
   /// Recomputes a segment's zone maps over its live rows.
   void RecomputeZones(Segment& s) const;
   /// Rewrites a segment's columns dropping tombstoned rows (re-encoding
-  /// sealed segments when the columnar path is enabled).
+  /// sealed segments).
   void CompactSegment(Segment& s) const;
   /// Recomputes starts_, num_rows_, phys_rows_ and data_bytes_ from the
   /// segments.

@@ -15,7 +15,6 @@
 #include "runtime/governor.h"
 #include "scan/scan.h"
 #include "spec/predicate_analysis.h"
-#include "storage/column.h"
 #include "vm/program.h"
 
 namespace dwred {
@@ -198,10 +197,6 @@ Result<size_t> SubcubeManager::ResponsibleCube(std::span<const ValueId> cell,
 SubcubeManager::SpecPrograms SubcubeManager::CompileSpecPrograms(
     int64_t now_day) const {
   SpecPrograms progs;
-  if (!vm::Enabled()) {
-    vm::CountFallback();
-    return progs;
-  }
   progs.reserve(spec_.size());
   const scan::AtomOracle oracle = vm::SpecAtomOracle(ctx_, now_day);
   for (ActionId a = 0; a < spec_.size(); ++a) {
@@ -384,11 +379,9 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
   for (const auto& m : measures_) aggs.push_back(m.agg);
 
   // Per-action predicate programs (src/vm), compiled once for the whole
-  // pass and shared read-only by every plan shard; empty while the VM is
-  // disabled (per-row interpretation, byte-identical).
-  const SpecPrograms spec_progs = CompileSpecPrograms(now_day);
-  const SpecPrograms* progs = spec_progs.empty() ? nullptr : &spec_progs;
-  if (prof != nullptr) prof->compiled = progs != nullptr;
+  // pass and shared read-only by every plan shard.
+  const SpecPrograms progs = CompileSpecPrograms(now_day);
+  if (prof != nullptr) prof->compiled = !progs.empty();
 
   size_t migrated = 0;
   size_t deleted = 0;
@@ -434,10 +427,11 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
       if (!plan.shard_error[si].ok()) return;
       std::vector<ValueId> row_cell(ndims);
       bool failed = false;
-      // Decides one row given its gathered cell and (optionally) its
-      // batch-precomputed per-action weights.
+      // Decides one row given its gathered cell and its batch-precomputed
+      // per-action weights.
       auto decide = [&](RowId r, const double* action_w) {
-        auto target_r = ResponsibleCubeWith(row_cell, now_day, progs, action_w);
+        auto target_r =
+            ResponsibleCubeWith(row_cell, now_day, &progs, action_w);
         if (!target_r.ok()) {
           plan.shard_error[si] = target_r.status();
           failed = true;
@@ -455,45 +449,36 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
         std::copy(rolled_r.value().begin(), rolled_r.value().end(),
                   plan.rolled.begin() + r * ndims);
       };
-      const size_t nact = progs != nullptr ? progs->size() : 0;
-      if (storage::ColumnarEnabled() && nact > 0) {
-        // Vectorized migration planning: every compiled action predicate
-        // runs chunk-at-a-time over the segment columns; the per-row LUB
-        // walk then consumes the precomputed lanes.
-        vm::PredProgram::BatchScratch scratch;
-        std::vector<double> lanes(nact * FactTable::kBatchRows);
-        std::vector<double> row_w(nact);
-        cube.table.ForEachDimBatch(
-            begin, end, [&](const FactTable::BatchView& b) {
+      // Vectorized migration planning: every compiled action predicate runs
+      // chunk-at-a-time over the segment columns; the per-row LUB walk then
+      // consumes the precomputed lanes.
+      const size_t nact = progs.size();
+      vm::PredProgram::BatchScratch scratch;
+      std::vector<double> lanes(nact * FactTable::kBatchRows);
+      std::vector<double> row_w(nact);
+      cube.table.ForEachDimBatch(
+          begin, end, [&](const FactTable::BatchView& b) {
+            if (failed) return;
+            const size_t n = b.rows();
+            for (ActionId a = 0; a < nact; ++a) {
+              if (const vm::PredProgram* prog = progs[a].get()) {
+                prog->EvalBatch(b.dim_cols(), n,
+                                lanes.data() + a * FactTable::kBatchRows,
+                                &scratch);
+              }
+            }
+            const RowId first = b.first_row();
+            for (size_t k = 0; k < n; ++k) {
               if (failed) return;
-              const size_t n = b.rows();
+              for (size_t d = 0; d < ndims; ++d) {
+                row_cell[d] = b.dim_col(d)[k];
+              }
               for (ActionId a = 0; a < nact; ++a) {
-                if (const vm::PredProgram* prog = (*progs)[a].get()) {
-                  prog->EvalBatch(b.dim_cols(), n,
-                                  lanes.data() + a * FactTable::kBatchRows,
-                                  &scratch);
-                }
+                row_w[a] = lanes[a * FactTable::kBatchRows + k];
               }
-              const RowId first = b.first_row();
-              for (size_t k = 0; k < n; ++k) {
-                if (failed) return;
-                for (size_t d = 0; d < ndims; ++d) {
-                  row_cell[d] = b.dim_col(d)[k];
-                }
-                for (ActionId a = 0; a < nact; ++a) {
-                  row_w[a] = lanes[a * FactTable::kBatchRows + k];
-                }
-                decide(first + k, row_w.data());
-              }
-            });
-      } else {
-        cube.table.ForEachRow(
-            begin, end, [&](RowId r, const FactTable::RowRef& row) {
-              if (failed) return;
-              for (size_t d = 0; d < ndims; ++d) row_cell[d] = row.coord(d);
-              decide(r, nullptr);
-            });
-      }
+              decide(first + k, row_w.data());
+            }
+          });
     });
     // Lowest shard's error is the globally first failing row's error. Unlike
     // the serial formulation, a failed pass mutates nothing.
@@ -597,9 +582,6 @@ Result<std::vector<MultidimensionalObject>> SubcubeManager::QuerySubresults(
 
 std::shared_ptr<const vm::RollupProgram> SubcubeManager::CompileRollup(
     const std::vector<CategoryId>& target) const {
-  // No fallback counted here: the evaluation sites (AggregateFormation)
-  // count one when they walk per fact instead.
-  if (!vm::Enabled()) return nullptr;
   const std::string rkey = cache::RollupFingerprint(target, cache_->epoch());
   std::shared_ptr<const vm::RollupProgram> roll = cache_->LookupRollup(rkey);
   if (roll == nullptr) {
@@ -651,26 +633,22 @@ SubcubeManager::QuerySubresultsLocked(
   // The predicate compiled to bytecode (src/vm, docs/COMPILATION.md) under
   // the conservative approach the per-cube Select uses, cached per
   // (approach, predicate, NOW day, epoch) like the ScanSpec. Null — per-row
-  // tree interpretation, byte-identical — while DWRED_VM_DISABLED or when
-  // the compiler rejects the predicate.
+  // tree interpretation, byte-identical — when the compiler rejects the
+  // predicate.
   std::shared_ptr<const vm::PredProgram> prog;
   if (pred != nullptr) {
-    if (vm::Enabled()) {
-      const std::string vkey = cache::ProgramFingerprint(
-          ctx_, *pred, now_day, cache_->epoch(),
-          SelectionApproachName(SelectionApproach::kConservative));
-      prog = cache_->LookupProgram(vkey);
-      if (prog == nullptr) {
-        if (auto compiled = vm::PredProgram::Compile(
-                ctx_, *pred,
-                QueryAtomOracle(now_day, SelectionApproach::kConservative))) {
-          prog = cache_->InsertProgram(
-              vkey,
-              std::make_shared<const vm::PredProgram>(std::move(*compiled)));
-        }
+    const std::string vkey = cache::ProgramFingerprint(
+        ctx_, *pred, now_day, cache_->epoch(),
+        SelectionApproachName(SelectionApproach::kConservative));
+    prog = cache_->LookupProgram(vkey);
+    if (prog == nullptr) {
+      if (auto compiled = vm::PredProgram::Compile(
+              ctx_, *pred,
+              QueryAtomOracle(now_day, SelectionApproach::kConservative))) {
+        prog = cache_->InsertProgram(
+            vkey,
+            std::make_shared<const vm::PredProgram>(std::move(*compiled)));
       }
-    } else {
-      vm::CountFallback();
     }
   }
   // The target-granularity rollup tables, compiled once per query and shared
@@ -681,9 +659,8 @@ SubcubeManager::QuerySubresultsLocked(
   // specification's action predicates — compile those once per query too.
   SpecPrograms spec_progs;
   if (!assume_synchronized) spec_progs = CompileSpecPrograms(now_day);
-  const SpecPrograms* resp_progs = spec_progs.empty() ? nullptr : &spec_progs;
   if (profile != nullptr) {
-    profile->compiled = prog != nullptr || resp_progs != nullptr;
+    profile->compiled = prog != nullptr || !spec_progs.empty();
   }
 
   if (profile != nullptr) {
@@ -823,7 +800,7 @@ SubcubeManager::QuerySubresultsLocked(
           cell[d] = unioned.Coord(f, static_cast<DimensionId>(d));
         }
         DWRED_ASSIGN_OR_RETURN(
-            size_t resp, ResponsibleCubeWith(cell, now_day, resp_progs));
+            size_t resp, ResponsibleCubeWith(cell, now_day, &spec_progs));
         if (resp != i) continue;
         std::vector<int64_t> meas(measures_.size());
         for (size_t m = 0; m < measures_.size(); ++m) {
@@ -1101,10 +1078,9 @@ Status SubcubeManager::ChangeSpecification(ReductionSpecification new_spec,
   std::vector<AggFn> aggs;
   for (const auto& m : measures_) aggs.push_back(m.agg);
   // Compiled after the layout swap so the programs reflect the new actions.
-  const SpecPrograms spec_progs = CompileSpecPrograms(now_day);
-  const SpecPrograms* progs = spec_progs.empty() ? nullptr : &spec_progs;
+  const SpecPrograms progs = CompileSpecPrograms(now_day);
   for (const Row& row : rows) {
-    auto target_res = ResponsibleCubeWith(row.cell, now_day, progs);
+    auto target_res = ResponsibleCubeWith(row.cell, now_day, &progs);
     if (!target_res.ok()) return target_res.status();
     size_t target = target_res.value();
     if (target == kDeletedCell) continue;  // claimed by a deletion action

@@ -94,9 +94,9 @@ class SubcubeManager {
   Result<size_t> ResponsibleCube(std::span<const ValueId> cell,
                                  int64_t now_day) const;
 
-  /// One compiled 0/1 program per specification action (src/vm), or an empty
-  /// vector while DWRED_VM_DISABLED. Slots whose predicate the compiler
-  /// rejects are null — those actions interpret per row. The hot
+  /// One compiled 0/1 program per specification action (src/vm). Slots
+  /// whose predicate the compiler rejects are null — those actions interpret
+  /// per row. The hot
   /// responsibility passes (Synchronize, ChangeSpecification, the
   /// unsynchronized query rewrite) compile once and reuse across every row.
   using SpecPrograms = std::vector<std::shared_ptr<const vm::PredProgram>>;
@@ -182,20 +182,20 @@ class SubcubeManager {
   Result<std::vector<ValueId>> RollCell(std::span<const ValueId> cell,
                                         const std::vector<CategoryId>& gran) const;
 
-  /// ResponsibleCube body; `progs` (when non-null and non-empty) supplies
-  /// compiled per-action predicate programs, byte-identical to interpreting.
+  /// ResponsibleCube body; `progs` (when non-null) supplies compiled
+  /// per-action predicate programs, byte-identical to interpreting.
   /// `action_w` (when non-null) carries this cell's batch-precomputed weight
-  /// per action (vm::PredProgram::EvalBatch over a column chunk); a lane at
-  /// kOutOfRange — or an action with no program — falls back to the same
-  /// per-row evaluation the non-batch path uses.
+  /// per action (vm::PredProgram::EvalBatch over a column chunk); without
+  /// it each program is evaluated on the cell. A lane at kOutOfRange — or an
+  /// action with no program — is interpreted.
   Result<size_t> ResponsibleCubeWith(std::span<const ValueId> cell,
                                      int64_t now_day,
                                      const SpecPrograms* progs,
                                      const double* action_w = nullptr) const;
 
   /// The rollup tables for one target granularity, compiled once and cached
-  /// per (granularity, epoch) in the program LRU. Null while DWRED_VM_DISABLED
-  /// or when a dimension is too large to enumerate (per-fact walks instead).
+  /// per (granularity, epoch) in the program LRU. Null when a dimension is
+  /// too large to enumerate (per-fact walks instead).
   std::shared_ptr<const vm::RollupProgram> CompileRollup(
       const std::vector<CategoryId>& target) const;
 

@@ -24,39 +24,24 @@ using RowEval = std::function<double(const ValueId*)>;
 
 class CompiledScan {
  public:
-  /// `prog` may be null (kill switch / compile rejection): every row then
-  /// goes through `fallback`. The fallback must match the program's
-  /// semantics exactly — bind EvalQueryPredOnCoords for selection weights or
-  /// EvalPredOnCell for 0/1 spec predicates.
+  /// `prog` may be null (compile rejection): every row then goes through
+  /// `fallback`. The fallback must match the program's semantics exactly —
+  /// bind EvalQueryPredOnCoords for selection weights or EvalPredOnCell for
+  /// 0/1 spec predicates.
   CompiledScan(std::shared_ptr<const PredProgram> prog, RowEval fallback)
       : prog_(std::move(prog)), fallback_(std::move(fallback)) {}
 
-  bool compiled() const { return prog_ != nullptr; }
-
-  /// Weight of one direct cell.
-  double Weigh(const ValueId* coords) const {
-    if (prog_ != nullptr) {
-      const double w = prog_->Eval(coords);
-      if (w != PredProgram::kOutOfRange) return w;
-      CountFallback();  // coordinate interned after compilation
-    }
-    return fallback_(coords);
-  }
-
   /// Fills `weights` (indexed by logical row id, sized to `t`; rows outside
   /// the plan keep weight 0 — pruning guarantees they cannot match) by
-  /// evaluating every planned row, shard-parallel on the global pool. With
-  /// the columnar path enabled (storage::ColumnarEnabled) each shard runs
-  /// PredProgram::EvalBatch chunk-at-a-time over the segment columns and
-  /// late-materializes full cells only for out-of-range lanes; the kill
-  /// switch falls back to the PR-8 row-at-a-time path. Deterministic: each
-  /// shard writes a disjoint range, and both paths produce identical bits.
+  /// evaluating every planned row, shard-parallel on the global pool: each
+  /// shard runs WeighBatch chunk-at-a-time over the segment columns.
+  /// Deterministic: each shard writes a disjoint range.
   void WeighTable(const FactTable& t, const scan::ScanPlan& plan,
                   std::vector<double>* weights) const;
 
   /// Fills `weights` (one slot per fact) over an MO's facts, shard-parallel.
-  /// The columnar path transposes row-major fact chunks into column scratch
-  /// and batch-evaluates them.
+  /// Row-major fact chunks are transposed into column scratch and
+  /// batch-evaluated.
   void WeighMo(const MultidimensionalObject& mo,
                std::vector<double>* weights) const;
 

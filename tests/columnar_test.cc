@@ -1,13 +1,11 @@
 // Columnar-layout tests (docs/STORAGE.md "Columnar layout"): encoding
 // round-trips and the cost model, batch iteration across chunk and segment
-// boundaries, tombstones inside a chunk, empty/all-pruned scans, the
-// DWRED_COLUMNAR_DISABLED kill switch, the storage byte-split gauges, the
+// boundaries, tombstones inside a chunk, empty/all-pruned scans, point and
+// row-cursor reads of encoded segments, the storage byte-split gauges, the
 // capacity-based ApproxBytes accounting, and bitwise EvalBatch/Eval
 // equivalence.
 
 #include "storage/column.h"
-
-#include <stdlib.h>
 
 #include <string>
 #include <vector>
@@ -26,19 +24,6 @@ namespace {
 
 using storage::ColEncoding;
 using storage::EncodedColumn;
-
-/// Flips the columnar kill switch for a scope; restores columnar on exit.
-struct ColumnarSwitch {
-  explicit ColumnarSwitch(bool enabled) { Set(enabled); }
-  ~ColumnarSwitch() { Set(true); }
-  static void Set(bool enabled) {
-    if (enabled) {
-      ::unsetenv("DWRED_COLUMNAR_DISABLED");
-    } else {
-      ::setenv("DWRED_COLUMNAR_DISABLED", "1", /*overwrite=*/1);
-    }
-  }
-};
 
 template <typename T>
 void ExpectRoundTrip(const EncodedColumn<T>& col, const std::vector<T>& want) {
@@ -274,27 +259,24 @@ TEST(ColumnarTest, EmptyAndFullyPrunedScans) {
   EXPECT_EQ(skipped, t.num_rows());
 }
 
-TEST(ColumnarTest, KillSwitchSealsPlainAndKeepsEncodedReadable) {
-  // Sealed while enabled: encoded.
-  FactTable enc = MakeEncodableTable(/*rows=*/128, /*segment_rows=*/64);
+TEST(ColumnarTest, EncodedSegmentsReadThroughPointAndRowCursors) {
+  // Every sealed segment is encoded; the unsealed tail stays plain.
+  FactTable enc = MakeEncodableTable(/*rows=*/160, /*segment_rows=*/64);
   ASSERT_TRUE(enc.SegmentEncoded(0));
-  {
-    ColumnarSwitch off(false);
-    // Sealing under the kill switch keeps plain columns.
-    FactTable plain = MakeEncodableTable(/*rows=*/128, /*segment_rows=*/64);
-    EXPECT_TRUE(plain.SegmentSealed(0));
-    EXPECT_FALSE(plain.SegmentEncoded(0));
-    EXPECT_EQ(plain.Bytes(), plain.RowEquivalentBytes());
-    // Already-encoded segments stay readable with the switch off, through
-    // both the point reads and the (row-path) iterator.
-    EXPECT_EQ(enc.Coord(70, 0), 1u);
-    RowId seen = 0;
-    enc.ForEachRow(0, enc.num_rows(), [&](RowId r, const FactTable::RowRef& row) {
-      EXPECT_EQ(row.coord(0), enc.Coord(r, 0));
-      ++seen;
-    });
-    EXPECT_EQ(seen, enc.num_rows());
-  }
+  ASSERT_TRUE(enc.SegmentEncoded(1));
+  ASSERT_FALSE(enc.SegmentSealed(2));
+  EXPECT_FALSE(enc.SegmentEncoded(2));
+  EXPECT_LT(enc.Bytes(), enc.RowEquivalentBytes());
+  // Encoded segments read the same through the point reads and the row
+  // cursor.
+  EXPECT_EQ(enc.Coord(70, 0), 1u);
+  RowId seen = 0;
+  enc.ForEachRow(0, enc.num_rows(), [&](RowId r, const FactTable::RowRef& row) {
+    EXPECT_EQ(row.coord(0), enc.Coord(r, 0));
+    EXPECT_EQ(row.measure(0), enc.Measure(r, 0));
+    ++seen;
+  });
+  EXPECT_EQ(seen, enc.num_rows());
 }
 
 TEST(ColumnarTest, StorageByteGaugesSplit) {

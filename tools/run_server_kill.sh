@@ -20,6 +20,9 @@ WORK="$(mktemp -d /tmp/dwred_server_kill.XXXXXX)"
 trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 boot_server() {
+  # Created (and emptied of a previous boot's listener line) before the
+  # spawn, so the poll below never reads a missing or stale file.
+  : > "$WORK/dwredd.out"
   "$DWREDD" --port=0 > "$WORK/dwredd.out" 2>&1 &
   SERVER_PID=$!
   ADDR=""

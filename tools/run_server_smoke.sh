@@ -19,7 +19,10 @@ DEMO_DIR="$(cd "$4" && pwd)"
 WORK="$(mktemp -d /tmp/dwred_server_smoke.XXXXXX)"
 trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
-# Boot on an ephemeral port; the listener line is the parse contract.
+# Boot on an ephemeral port; the listener line is the parse contract. The
+# output file is created before the spawn, so the poll below never reads a
+# file the child has not opened yet.
+: > "$WORK/dwredd.out"
 "$DWREDD" --port=0 > "$WORK/dwredd.out" 2> "$WORK/dwredd.err" &
 SERVER_PID=$!
 ADDR=""
