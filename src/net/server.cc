@@ -17,7 +17,7 @@
 #include "net/client.h"  // IgnoreSigpipe
 #include "obs/logging.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
+#include "obs/op.h"
 #include "reduce/dynamics.h"
 #include "runtime/cancel.h"
 #include "spec/parser.h"
@@ -61,30 +61,33 @@ struct NetMetrics {
   }
 };
 
-/// Per-command request counter, registered on first use.
-obs::Counter& CommandCounter(Command c) {
-  auto& reg = obs::MetricsRegistry::Global();
-  switch (c) {
-#define DWRED_NET_CMD_COUNTER(cmd, name)                               \
-  case Command::cmd: {                                                 \
-    static obs::Counter& ctr =                                         \
-        reg.GetCounter("dwred_net_cmd_" name, name " requests served"); \
-    return ctr;                                                        \
-  }
-    DWRED_NET_CMD_COUNTER(kPing, "ping")
-    DWRED_NET_CMD_COUNTER(kQuery, "query")
-    DWRED_NET_CMD_COUNTER(kInsert, "insert")
-    DWRED_NET_CMD_COUNTER(kSynchronize, "synchronize")
-    DWRED_NET_CMD_COUNTER(kSpecChange, "spec_change")
-    DWRED_NET_CMD_COUNTER(kStats, "stats")
-    DWRED_NET_CMD_COUNTER(kCacheCtl, "cache_ctl")
-    DWRED_NET_CMD_COUNTER(kSnapshotCrc, "snapshot_crc")
-    DWRED_NET_CMD_COUNTER(kShutdown, "shutdown")
-#undef DWRED_NET_CMD_COUNTER
-  }
-  static obs::Counter& unknown =
-      reg.GetCounter("dwred_net_cmd_unknown", "unknown requests");
-  return unknown;
+/// Per-command instrumentation, registered once: the request counter, and
+/// the one latency histogram and the name of the command's `net.<cmd>` root
+/// operation. Slot 0 ("unknown") takes out-of-range commands.
+struct CommandObs {
+  obs::Counter* requests;
+  obs::Histogram* latency;
+  std::string op;
+};
+
+const CommandObs& CommandMetrics(Command c) {
+  static const std::vector<CommandObs> table = [] {
+    auto& reg = obs::MetricsRegistry::Global();
+    std::vector<CommandObs> t;
+    for (int i = 0; i <= static_cast<int>(Command::kShutdown); ++i) {
+      const std::string name = CommandName(static_cast<Command>(i));
+      t.push_back({&reg.GetCounter("dwred_net_cmd_" + name,
+                                   name + " requests served"),
+                   &reg.GetHistogram("dwred_net_" + name + "_seconds",
+                                     obs::DefaultLatencyBuckets(),
+                                     "wall time of one served " + name +
+                                         " request"),
+                   "net." + name});
+    }
+    return t;
+  }();
+  const size_t i = static_cast<size_t>(c);
+  return table[i < table.size() ? i : 0];
 }
 
 Status WriteAll(int fd, std::string_view data) {
@@ -390,7 +393,8 @@ void Server::SignalShutdown() {
 
 Response Server::DispatchImpl(const Request& req, bool* shutdown_cmd) {
   NetMetrics& m = NetMetrics::Get();
-  CommandCounter(req.cmd).Increment();
+  const CommandObs& cmd = CommandMetrics(req.cmd);
+  cmd.requests->Increment();
 
   // Every command runs under a fresh operation context: the request's
   // deadline and row budget, plus a cancellable token so an injected or
@@ -405,7 +409,13 @@ Response Server::DispatchImpl(const Request& req, bool* shutdown_cmd) {
   }
   runtime::ScopedOpContext scope(ctx);
 
-  const auto start = std::chrono::steady_clock::now();
+  // The request's root operation: engine operations open under it, so a
+  // served request is one trace tree and at most one slow-log entry.
+  obs::Op op(cmd.op, *cmd.latency);
+  if (obs::OpProfile* prof = op.profile()) {
+    prof->epoch = mgr_->epoch();
+    prof->now_day = req.now_day;
+  }
   Response resp;
   // The three net poll sites all sit before any warehouse byte moves, so an
   // abort at any of them leaves the epoch unbumped and the snapshot
@@ -421,7 +431,7 @@ Response Server::DispatchImpl(const Request& req, bool* shutdown_cmd) {
         resp.body = "pong";
         break;
       case Command::kQuery:
-        resp = DoQuery(req);
+        resp = DoQuery(req, op.profile());
         break;
       case Command::kInsert:
         resp = DoInsert(req);
@@ -453,28 +463,12 @@ Response Server::DispatchImpl(const Request& req, bool* shutdown_cmd) {
     }
   }
 
-  const int64_t wall_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  const std::string op = std::string("net.") + CommandName(req.cmd);
-  obs::OpLatencyHistogram(op).Record(static_cast<double>(wall_us) * 1e-6);
-  if (obs::ProfilingEnabled() &&
-      obs::FlightRecorder::Global().WouldRecord(wall_us)) {
-    obs::OpProfile profile;
-    profile.op = op;
-    profile.epoch = mgr_->epoch();
-    profile.now_day = req.now_day;
-    profile.outcome = runtime::OutcomeLabel(resp.code);
-    profile.total_us = wall_us;
-    profile.AddCounter("response_bytes",
-                       static_cast<int64_t>(resp.body.size()));
-    obs::FlightRecorder::Global().Record(profile);
-  }
+  if (resp.code != StatusCode::kOk) op.Fail(Status(resp.code, resp.message));
+  op.AddCounter("response_bytes", static_cast<int64_t>(resp.body.size()));
   return resp;
 }
 
-Response Server::DoQuery(const Request& req) {
+Response Server::DoQuery(const Request& req, obs::OpProfile* request_profile) {
   // Parsing resolves names against the facts-free context MO — read-only
   // (the parser never interns values), so concurrent sessions parse freely.
   std::shared_ptr<PredExpr> pred;
@@ -491,19 +485,21 @@ Response Server::DoQuery(const Request& req) {
     gran = g.take();
     has_gran = true;
   }
+  // EXPLAIN fills the request's own profile: the query renders it before the
+  // request closes, and the request's slow-log entry then carries it.
   const bool explain = (req.flags & kQueryExplain) != 0;
-  obs::OpProfile profile;
   auto r = mgr_->Query(pred.get(), has_gran ? &gran : nullptr, req.now_day,
                        (req.flags & kQuerySynchronized) != 0,
                        (req.flags & kQueryParallel) != 0,
-                       /*pinned_epoch=*/nullptr, explain ? &profile : nullptr);
+                       /*pinned_epoch=*/nullptr,
+                       explain ? request_profile : nullptr);
   if (!r.ok()) return FromStatus(r.status());
   Response resp;
   resp.body = RenderResult(r.value());
   if (explain) {
-    resp.body += profile.op.empty()
+    resp.body += request_profile == nullptr
                      ? "explain: profiling disabled (DWRED_PROFILE_DISABLED)\n"
-                     : profile.Render();
+                     : request_profile->Render();
   }
   return resp;
 }

@@ -94,7 +94,7 @@ class Server {
   /// waiter cannot check the predicate and block between the two).
   void SignalShutdown();
 
-  Response DoQuery(const Request& req);
+  Response DoQuery(const Request& req, obs::OpProfile* request_profile);
   Response DoInsert(const Request& req);
   Response DoSynchronize(const Request& req);
   Response DoSpecChange(const Request& req);

@@ -58,10 +58,7 @@ Histogram::Histogram(std::vector<double> upper_bounds)
 }
 
 void Histogram::Record(double value) {
-  if constexpr (!kObsEnabled) {
-    (void)value;
-    return;
-  }
+  if (!kObsEnabled) return;
   // First bucket whose (inclusive) upper bound admits the sample.
   size_t i = std::lower_bound(bounds_.begin(), bounds_.end(), value) -
              bounds_.begin();

@@ -39,11 +39,7 @@ inline constexpr bool kObsEnabled = true;
 class Counter {
  public:
   void Increment(uint64_t delta = 1) {
-    if constexpr (kObsEnabled) {
-      v_.fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      (void)delta;
-    }
+    if (kObsEnabled) v_.fetch_add(delta, std::memory_order_relaxed);
   }
   uint64_t Value() const { return v_.load(std::memory_order_relaxed); }
   void Reset() { v_.store(0, std::memory_order_relaxed); }
@@ -59,11 +55,7 @@ class Gauge {
     if constexpr (kObsEnabled) v_.store(v, std::memory_order_relaxed);
   }
   void Add(int64_t delta) {
-    if constexpr (kObsEnabled) {
-      v_.fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      (void)delta;
-    }
+    if (kObsEnabled) v_.fetch_add(delta, std::memory_order_relaxed);
   }
   int64_t Value() const { return v_.load(std::memory_order_relaxed); }
   void Reset() { v_.store(0, std::memory_order_relaxed); }

@@ -55,6 +55,16 @@ int64_t EnvInt(const char* name, int64_t fallback, int64_t min_value,
                   EnvRangePolicy::kClamp);
 }
 
+std::string StagesJson(const std::vector<StageTime>& stages) {
+  std::string out = "[";
+  for (size_t i = 0; i < stages.size(); ++i) {
+    if (i) out += ",";
+    out += "{\"name\":\"" + JsonEscape(stages[i].name) +
+           "\",\"wall_us\":" + std::to_string(stages[i].wall_us) + "}";
+  }
+  return out + "]";
+}
+
 }  // namespace
 
 std::string OpProfile::Render() const {
@@ -69,11 +79,8 @@ std::string OpProfile::Render() const {
   line("epoch:", std::to_string(epoch));
   line("now day:", std::to_string(now_day));
   line("synchronized:", assume_synchronized ? "assumed" : "not assumed");
-  if (parallel) {
-    line("parallel:", "yes (fan-out " + std::to_string(fan_out) + ")");
-  } else {
-    line("parallel:", "no (fan-out " + std::to_string(fan_out) + ")");
-  }
+  line("parallel:", std::string(parallel ? "yes" : "no") + " (fan-out " +
+                        std::to_string(fan_out) + ")");
   std::string cache_desc = CacheOutcomeName(cache);
   if (fingerprint != 0) {
     cache_desc += " (fingerprint " + HexFingerprint(fingerprint) + ")";
@@ -98,7 +105,7 @@ std::string OpProfile::Render() const {
     out += "  stages:\n";
     for (const StageTime& s : stages) {
       char buf[96];
-      std::snprintf(buf, sizeof(buf), "    %-12s %8lldus\n", s.name.c_str(),
+      std::snprintf(buf, sizeof(buf), "    %-16s %8lldus\n", s.name.c_str(),
                     static_cast<long long>(s.wall_us));
       out += buf;
     }
@@ -120,6 +127,11 @@ std::string OpProfile::Render() const {
                     static_cast<long long>(sc.result_facts),
                     static_cast<long long>(sc.wall_us));
       out += buf;
+      for (const StageTime& s : sc.stages) {
+        std::snprintf(buf, sizeof(buf), "      %-10s %8lldus\n",
+                      s.name.c_str(), static_cast<long long>(s.wall_us));
+        out += buf;
+      }
     }
   }
   return out;
@@ -151,13 +163,8 @@ std::string OpProfile::ToJson() const {
   for (const auto& [name, value] : counters) {
     out += ",\"" + JsonEscape(name) + "\":" + std::to_string(value);
   }
-  out += ",\"stages\":[";
-  for (size_t i = 0; i < stages.size(); ++i) {
-    if (i) out += ",";
-    out += "{\"name\":\"" + JsonEscape(stages[i].name) +
-           "\",\"wall_us\":" + std::to_string(stages[i].wall_us) + "}";
-  }
-  out += "],\"subcubes\":[";
+  out += ",\"stages\":" + StagesJson(stages);
+  out += ",\"subcubes\":[";
   for (size_t i = 0; i < subcubes.size(); ++i) {
     const SubcubeProfile& sc = subcubes[i];
     if (i) out += ",";
@@ -168,7 +175,8 @@ std::string OpProfile::ToJson() const {
     out += ",\"rows_scanned\":" + std::to_string(sc.rows_scanned);
     out += ",\"rows_skipped\":" + std::to_string(sc.rows_skipped);
     out += ",\"result_facts\":" + std::to_string(sc.result_facts);
-    out += ",\"wall_us\":" + std::to_string(sc.wall_us) + "}";
+    out += ",\"wall_us\":" + std::to_string(sc.wall_us);
+    out += ",\"stages\":" + StagesJson(sc.stages) + "}";
   }
   out += "],\"total_us\":" + std::to_string(total_us) + "}";
   return out;
@@ -191,18 +199,6 @@ std::string OpProfile::Summary() const {
     out += " " + name + "=" + std::to_string(value);
   }
   return out;
-}
-
-Histogram& OpLatencyHistogram(const std::string& op) {
-  std::string name = "dwred_op_";
-  for (char c : op) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-              (c >= '0' && c <= '9');
-    name += ok ? c : '_';
-  }
-  name += "_seconds";
-  return MetricsRegistry::Global().GetHistogram(
-      name, DefaultLatencyBuckets(), "latency of " + op + " operations");
 }
 
 FlightRecorder& FlightRecorder::Global() {
@@ -301,35 +297,6 @@ std::string FlightRecorder::Render() const {
   for (auto it = recent.rbegin(); it != recent.rend(); ++it) {
     RenderEntry(*it, &out);
   }
-  return out;
-}
-
-std::string FlightRecorder::RenderJson() const {
-  std::vector<FlightEntry> board;
-  std::vector<FlightEntry> recent;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    board = board_;
-    recent.assign(ring_.begin(), ring_.end());
-  }
-  auto entry_json = [](const FlightEntry& e) {
-    return "{\"seq\":" + std::to_string(e.seq) + ",\"op\":\"" +
-           JsonEscape(e.op) + "\",\"trace\":" + std::to_string(e.trace_id) +
-           ",\"wall_us\":" + std::to_string(e.wall_us) + ",\"detail\":\"" +
-           JsonEscape(e.detail) + "\"}";
-  };
-  std::string out = "{\"threshold_us\":" + std::to_string(threshold_us()) +
-                    ",\"top\":[";
-  for (size_t i = 0; i < board.size(); ++i) {
-    if (i) out += ",";
-    out += entry_json(board[i]);
-  }
-  out += "],\"recent\":[";
-  for (size_t i = 0; i < recent.size(); ++i) {
-    if (i) out += ",";
-    out += entry_json(recent[i]);
-  }
-  out += "]}";
   return out;
 }
 

@@ -7,11 +7,12 @@
 // Synchronize, Reduce pass) as it runs: pinned epoch, cache outcome and
 // fingerprint, per-subcube fan-out, segments scanned vs. pruned, rows
 // skipped, and per-stage wall times. Callers pass a profile in when they want
-// an EXPLAIN (dwredctl `explain`, tests, library users); passing nullptr
-// costs nothing.
+// an EXPLAIN (dwredctl `explain`, tests, library users). The operation's
+// obs::Op scope (obs/op.h) times the stages and stamps the total, outcome
+// and budget.
 //
-// The FlightRecorder is always on (bounded, lock-cheap): operations report
-// their duration after the fact, and anything at or above the slow threshold
+// The FlightRecorder is always on (bounded, lock-cheap): root operations are
+// offered to it as they close, and anything at or above the slow threshold
 // is admitted into a top-K-by-duration board plus a last-N ring, each entry
 // carrying a one-line summary of *why* it was slow (cache miss? pruning
 // defeated? wide fan-out?). `dwredctl slowlog` renders both. Sub-threshold
@@ -19,15 +20,14 @@
 // built for admitted entries.
 //
 // Opt-out: set DWRED_PROFILE_DISABLED to a non-empty value to make
-// ProfilingEnabled() false; engine call sites then skip profile filling and
-// flight recording entirely.
+// ProfilingEnabled() false; operations then fill no profile and reach no
+// slow log (their spans and latency histograms stay).
 //
 // Env knobs (read at first use; ReloadConfigFromEnv() for tests):
 //   DWRED_SLOWLOG_TOPK    board size, default 16
 //   DWRED_SLOWLOG_LASTN   ring size, default 64
 //   DWRED_SLOWLOG_MIN_US  admission threshold in microseconds, default 1000
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -72,6 +72,7 @@ struct SubcubeProfile {
   int64_t rows_skipped = 0;
   int64_t result_facts = 0;
   int64_t wall_us = 0;
+  std::vector<StageTime> stages;  ///< this subquery's scan / aggregate laps
 };
 
 /// Structured profile of one engine operation. Fill what applies; Render()
@@ -112,9 +113,6 @@ struct OpProfile {
   std::vector<std::pair<std::string, int64_t>> counters;
   int64_t total_us = 0;
 
-  void AddStage(std::string name, int64_t wall_us) {
-    stages.push_back({std::move(name), wall_us});
-  }
   void AddCounter(std::string name, int64_t value) {
     counters.emplace_back(std::move(name), value);
   }
@@ -127,30 +125,6 @@ struct OpProfile {
   /// segments=1/38 ...").
   std::string Summary() const;
 };
-
-/// Restartable stage stopwatch: LapMicros() returns the time since the last
-/// lap (or construction) and restarts.
-class StageTimer {
- public:
-  StageTimer() : last_(std::chrono::steady_clock::now()) {}
-
-  int64_t LapMicros() {
-    auto now = std::chrono::steady_clock::now();
-    int64_t us =
-        std::chrono::duration_cast<std::chrono::microseconds>(now - last_)
-            .count();
-    last_ = now;
-    return us;
-  }
-
- private:
-  std::chrono::steady_clock::time_point last_;
-};
-
-/// The per-operation latency histogram `dwred_op_<op>_seconds` ('.' and other
-/// non-metric characters sanitized to '_'). Registered on first use; call
-/// sites cache the reference in a function-local static.
-Histogram& OpLatencyHistogram(const std::string& op);
 
 /// One admitted slow-operation record.
 struct FlightEntry {
@@ -180,7 +154,6 @@ class FlightRecorder {
   /// `dwredctl slowlog` text: the board (slowest first) then the ring
   /// (most recent first).
   std::string Render() const;
-  std::string RenderJson() const;
 
   std::vector<FlightEntry> TopK() const;
   std::vector<FlightEntry> LastN() const;

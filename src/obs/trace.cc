@@ -116,19 +116,14 @@ int64_t TraceBuffer::NowMicros() const {
       .count();
 }
 
-TraceSpan::TraceSpan(const char* name, Histogram* latency)
-    : name_(name), latency_(latency) {
-  Open();
-}
-
 TraceSpan::TraceSpan(std::string name, Histogram* latency)
     : name_(std::move(name)), latency_(latency) {
   Open();
 }
 
 void TraceSpan::Open() {
-  if constexpr (!kObsEnabled) return;
   start_ = std::chrono::steady_clock::now();
+  if constexpr (!kObsEnabled) return;
   if (!TraceBuffer::Global().enabled()) return;
   traced_ = true;
   parent_id_ = t_ctx.span_id;
@@ -165,20 +160,15 @@ TraceSpan::~TraceSpan() {
 }
 
 void TraceSpan::AddField(const char* key, int64_t value) {
-  if constexpr (!kObsEnabled) {
-    (void)key;
-    (void)value;
-    return;
-  }
-  if (!TraceBuffer::Global().enabled()) return;
+  if (!kObsEnabled || !TraceBuffer::Global().enabled()) return;
   fields_.emplace_back(key, value);
 }
 
-double TraceSpan::ElapsedSeconds() const {
-  if constexpr (!kObsEnabled) return 0.0;
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start_)
-      .count();
+void TraceSpan::RecordChild(const char* name, int64_t duration_us) const {
+  TraceBuffer& buf = TraceBuffer::Global();
+  if (!traced_ || !buf.enabled()) return;
+  buf.Record({name, trace_id_, AllocateSpanId(), span_id_,
+              buf.NowMicros() - duration_us, duration_us, {}});
 }
 
 namespace {

@@ -120,7 +120,6 @@ class TraceBuffer {
 /// the span owns its copy.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name, Histogram* latency = nullptr);
   explicit TraceSpan(std::string name, Histogram* latency = nullptr);
   ~TraceSpan();
 
@@ -130,11 +129,17 @@ class TraceSpan {
   /// Attaches a structured field to the emitted event.
   void AddField(const char* key, int64_t value);
 
-  double ElapsedSeconds() const;
-
   /// The ids this span was opened with (all zero when the buffer was
   /// disabled at construction).
   TraceContext context() const { return TraceContext{trace_id_, span_id_}; }
+
+ protected:
+  /// Emits a completed child span that ended just now and lasted
+  /// `duration_us` (an obs::Op stage). No-op unless this span is traced.
+  void RecordChild(const char* name, int64_t duration_us) const;
+
+  const std::string& name() const { return name_; }
+  std::chrono::steady_clock::time_point start() const { return start_; }
 
  private:
   void Open();  ///< allocates ids + installs the context when tracing is on

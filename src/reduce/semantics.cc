@@ -5,8 +5,7 @@
 
 #include "common/check.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
+#include "obs/op.h"
 #include "runtime/cancel.h"
 #include "scan/scan.h"
 #include "storage/fact_table.h"
@@ -168,7 +167,8 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
   static obs::Histogram& pass_latency = registry.GetHistogram(
       "dwred_reduce_pass_seconds", obs::DefaultLatencyBuckets(),
       "wall time of one reduction pass (Definition 2)");
-  obs::TraceSpan span("reduce.pass", &pass_latency);
+  obs::Op op("reduce.pass", pass_latency);
+  if (obs::OpProfile* prof = op.profile()) prof->now_day = now_day;
 
   MultidimensionalObject out(mo.fact_type(), mo.dimensions(),
                              mo.measure_types());
@@ -214,6 +214,7 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
 
   scan::ScanPlan plan = scan::PlanMoScan(mo.num_facts(), /*grain=*/1024);
   std::vector<ShardAccum> accums(plan.units.size());
+  op.Stage("compile");
 
   scan::Execute(plan, [&](size_t si, size_t begin, size_t end) {
     ShardAccum& acc = accums[si];
@@ -329,6 +330,8 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
     }
   });
 
+  op.Stage("scan");
+
   // Deterministic merge, ascending shard order, reproducing the interleaved
   // serial error order exactly: each shard's groups are merged (surfacing any
   // out.AddFact error at that cell's globally first occurrence) *before* the
@@ -368,7 +371,7 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
                          sg.sources.end());
       }
     }
-    if (!acc.error.ok()) return runtime::CountAbort(acc.error);
+    if (!acc.error.ok()) return op.Fail(runtime::CountAbort(acc.error));
     facts_aggregated += acc.facts_aggregated;
     facts_deleted += acc.facts_deleted;
   }
@@ -393,6 +396,8 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
       out.SetProvenance(g.out_id, g.sources, g.responsible);
     }
   }
+
+  op.Stage("combine");
 
   if (stats) {
     stats->input_facts = mo.num_facts();
@@ -419,23 +424,13 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
   c_out.Increment(out.num_facts());
   c_agg.Increment(facts_aggregated);
   c_del.Increment(facts_deleted);
-  span.AddField("facts_in", static_cast<int64_t>(mo.num_facts()));
-  span.AddField("facts_out", static_cast<int64_t>(out.num_facts()));
-  span.AddField("facts_aggregated", static_cast<int64_t>(facts_aggregated));
-  span.AddField("facts_deleted", static_cast<int64_t>(facts_deleted));
-  if (obs::ProfilingEnabled()) {
-    obs::OpProfile prof;
-    prof.op = "reduce.pass";
-    prof.trace_id = span.context().trace_id;
-    prof.now_day = now_day;
-    prof.rows_scanned = static_cast<int64_t>(mo.num_facts());
-    prof.result_facts = static_cast<int64_t>(out.num_facts());
-    prof.AddCounter("facts_aggregated", static_cast<int64_t>(facts_aggregated));
-    prof.AddCounter("facts_deleted", static_cast<int64_t>(facts_deleted));
-    prof.total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
-    static obs::Histogram& op_hist = obs::OpLatencyHistogram("reduce.pass");
-    op_hist.Record(prof.total_us * 1e-6);
-    obs::FlightRecorder::Global().Record(prof);
+  op.AddField("facts_in", static_cast<int64_t>(mo.num_facts()));
+  op.AddField("facts_out", static_cast<int64_t>(out.num_facts()));
+  op.AddCounter("facts_aggregated", static_cast<int64_t>(facts_aggregated));
+  op.AddCounter("facts_deleted", static_cast<int64_t>(facts_deleted));
+  if (obs::OpProfile* prof = op.profile()) {
+    prof->rows_scanned = static_cast<int64_t>(mo.num_facts());
+    prof->result_facts = static_cast<int64_t>(out.num_facts());
   }
   return out;
 }

@@ -177,7 +177,11 @@ class EncodedColumn {
     DWRED_CHECK(begin <= end && end <= n_);
     switch (enc_) {
       case ColEncoding::kPlain:
-        std::memcpy(out, values_.data() + begin, (end - begin) * sizeof(T));
+        // An empty column's data() may be null, and memcpy from null is
+        // undefined even for zero bytes.
+        if (end > begin) {
+          std::memcpy(out, values_.data() + begin, (end - begin) * sizeof(T));
+        }
         return;
       case ColEncoding::kDict: {
         const T* dict = values_.data();

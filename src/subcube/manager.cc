@@ -9,7 +9,7 @@
 #include "exec/thread_pool.h"
 #include "obs/logging.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/op.h"
 #include "query/compare.h"
 #include "runtime/cancel.h"
 #include "runtime/governor.h"
@@ -342,33 +342,13 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
   static obs::Histogram& sync_latency = registry.GetHistogram(
       "dwred_subcube_sync_seconds", obs::DefaultLatencyBuckets(),
       "wall time of one subcube synchronization pass (Section 7.2)");
-  obs::TraceSpan span("subcube.sync", &sync_latency);
-
-  obs::OpProfile local_profile;
-  obs::OpProfile* prof = nullptr;
-  if (obs::ProfilingEnabled()) {
-    prof = profile != nullptr ? profile : &local_profile;
-    prof->op = "subcube.sync";
-    prof->trace_id = span.context().trace_id;
+  obs::Op op("subcube.sync", sync_latency, profile);
+  obs::OpProfile* prof = op.profile();
+  if (prof != nullptr) {
     prof->now_day = now_day;
     prof->parallel = true;  // plan fans out over the pool; apply is serial
     prof->fan_out = static_cast<int64_t>(cubes_.size());
   }
-  obs::StageTimer stage_timer;
-
-  // Abort finalization: stamp the profile with the abort outcome (so EXPLAIN
-  // and the flight recorder show *why* the pass produced nothing) and count
-  // the aborted operation once. Only reached from the read-only plan phase,
-  // before bump.Arm() — the tables, epoch, and caches are untouched.
-  auto abort_sync = [&](Status s) -> Status {
-    s = runtime::CountAbort(std::move(s));
-    if (prof != nullptr && runtime::IsAbort(s.code())) {
-      prof->outcome = runtime::OutcomeLabel(s.code());
-      prof->total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
-      obs::FlightRecorder::Global().Record(*prof);
-    }
-    return s;
-  };
 
   // Writers are exclusive: no query may observe a half-migrated manifest.
   std::unique_lock<std::shared_mutex> snapshot_lock(cache_->snapshot_mutex());
@@ -481,20 +461,21 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
           });
     });
     // Lowest shard's error is the globally first failing row's error. Unlike
-    // the serial formulation, a failed pass mutates nothing.
+    // the serial formulation, a failed pass mutates nothing: every abort
+    // return sits in the read-only plan phase, before bump.Arm().
     for (const Status& s : plan.shard_error) {
-      if (!s.ok()) return abort_sync(s);
+      if (!s.ok()) return op.Fail(runtime::CountAbort(s));
     }
-    DWRED_RETURN_IF_ERROR(abort_sync(
-        runtime::CurrentOpContext().ChargeRows(
-            static_cast<int64_t>(snapshot[i]))));
+    Status charged = runtime::CurrentOpContext().ChargeRows(
+        static_cast<int64_t>(snapshot[i]));
+    if (!charged.ok()) return op.Fail(runtime::CountAbort(std::move(charged)));
     if (prof != nullptr) {
       prof->rows_scanned += static_cast<int64_t>(snapshot[i]);
       prof->segments_total += static_cast<int64_t>(splan.segments_total);
       prof->segments_scanned += static_cast<int64_t>(splan.segments_total);
     }
   }
-  if (prof != nullptr) prof->AddStage("plan", stage_timer.LapMicros());
+  op.Stage("plan");
 
   // The apply phase mutates tables; from here on the caches must be dropped
   // even if a later step fails.
@@ -529,7 +510,7 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
     erase.resize(cube.table.num_rows(), false);
     DWRED_RETURN_IF_ERROR(cube.table.EraseRows(erase));
   }
-  if (prof != nullptr) prof->AddStage("apply", stage_timer.LapMicros());
+  op.Stage("apply");
   // Cells that received data from several places are aggregated one final
   // time (Section 7.2).
   for (size_t i = 0; i < cubes_.size(); ++i) {
@@ -537,7 +518,7 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
     DWRED_ASSIGN_OR_RETURN(size_t folded, cubes_[i]->table.CompactCells(aggs));
     compacted += folded;
   }
-  if (prof != nullptr) prof->AddStage("compact", stage_timer.LapMicros());
+  op.Stage("compact");
 
   static obs::Counter& c_syncs = registry.GetCounter(
       "dwred_subcube_syncs", "completed synchronization passes");
@@ -554,18 +535,9 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
   c_migrated.Increment(migrated);
   c_deleted.Increment(deleted);
   c_compacted.Increment(compacted);
-  span.AddField("rows_migrated", static_cast<int64_t>(migrated));
-  span.AddField("rows_deleted", static_cast<int64_t>(deleted));
-  span.AddField("cells_compacted", static_cast<int64_t>(compacted));
-  if (prof != nullptr) {
-    prof->AddCounter("rows_migrated", static_cast<int64_t>(migrated));
-    prof->AddCounter("rows_deleted", static_cast<int64_t>(deleted));
-    prof->AddCounter("cells_compacted", static_cast<int64_t>(compacted));
-    prof->total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
-    static obs::Histogram& op_hist = obs::OpLatencyHistogram("subcube.sync");
-    op_hist.Record(prof->total_us * 1e-6);
-    obs::FlightRecorder::Global().Record(*prof);
-  }
+  op.AddCounter("rows_migrated", static_cast<int64_t>(migrated));
+  op.AddCounter("rows_deleted", static_cast<int64_t>(deleted));
+  op.AddCounter("cells_compacted", static_cast<int64_t>(compacted));
   DWRED_LOG(Debug) << "subcube sync at day " << now_day << ": " << migrated
                    << " rows migrated, " << deleted << " deleted, "
                    << compacted << " compacted";
@@ -597,10 +569,9 @@ std::shared_ptr<const vm::RollupProgram> SubcubeManager::CompileRollup(
 Result<std::vector<MultidimensionalObject>>
 SubcubeManager::QuerySubresultsLocked(
     const PredExpr* pred, const std::vector<CategoryId>* target,
-    int64_t now_day, bool assume_synchronized, bool parallel,
-    obs::OpProfile* profile,
+    int64_t now_day, bool assume_synchronized, bool parallel, obs::Op* op,
     std::shared_ptr<const vm::RollupProgram> rollup) const {
-  obs::StageTimer stage_timer;
+  obs::OpProfile* profile = op != nullptr ? op->profile() : nullptr;
   // On the synchronized path every row already sits in its responsible cube,
   // so the selection predicate can prune whole storage segments via zone
   // maps before materialization: pruned segments hold only rows whose
@@ -663,15 +634,11 @@ SubcubeManager::QuerySubresultsLocked(
     profile->compiled = prog != nullptr || !spec_progs.empty();
   }
 
+  if (op != nullptr) op->Stage("plan");
   if (profile != nullptr) {
-    profile->AddStage("plan", stage_timer.LapMicros());
     profile->fan_out = static_cast<int64_t>(cubes_.size());
     profile->subcubes.assign(cubes_.size(), obs::SubcubeProfile{});
   }
-  // Per-cube stage sums, folded into the profile serially after the fan-out
-  // (each cube writes only its own slot — no atomics, deterministic).
-  std::vector<int64_t> scan_us(profile != nullptr ? cubes_.size() : 0, 0);
-  std::vector<int64_t> agg_us(profile != nullptr ? cubes_.size() : 0, 0);
 
   // One evaluation per subcube; in parallel mode the evaluations fan out
   // over the process-wide pool (only shared *reads*: dimensions, spec,
@@ -689,14 +656,14 @@ SubcubeManager::QuerySubresultsLocked(
             "dwred_subcube_subquery_seconds", obs::DefaultLatencyBuckets(),
             "wall time of one per-subcube subquery evaluation (Section 7.3)");
     const Subcube& cube = *cubes_[i];
-    obs::TraceSpan span(obs::TraceBuffer::Global().enabled()
-                            ? "subcube.subquery/cube=" + cube.name
-                            : std::string("subcube.subquery"),
-                        &subquery_latency);
-    span.AddField("cube", static_cast<int64_t>(i));
-    obs::StageTimer cube_timer;
+    // Each cube writes only its own profile slot — no atomics, deterministic.
     obs::SubcubeProfile* sc =
         profile != nullptr ? &profile->subcubes[i] : nullptr;
+    obs::Op sub(obs::TraceBuffer::Global().enabled()
+                    ? "subcube.subquery/cube=" + cube.name
+                    : std::string("subcube.subquery"),
+                subquery_latency, sc);
+    sub.AddField("cube", static_cast<int64_t>(i));
 
     const size_t ndims = dims_.size();
     std::vector<ValueId> cell(ndims);
@@ -754,10 +721,8 @@ SubcubeManager::QuerySubresultsLocked(
       }
       base = cube.table.ToMO(fact_type_, dims_, measures_);
     }
-    if (sc != nullptr) {
-      sc->name = cube.name;
-      scan_us[i] = cube_timer.LapMicros();
-    }
+    if (sc != nullptr) sc->name = cube.name;
+    sub.Stage("scan");
     if (!assume_synchronized) {
       // Figure 9: evaluate on α[G_i]σ[P_i](K_i ∪ parents) — pull un-migrated
       // facts from ancestor cubes, keep only the facts this cube is
@@ -827,33 +792,21 @@ SubcubeManager::QuerySubresultsLocked(
                                    AggregationApproach::kAvailability,
                                    /*track_provenance=*/false, rollup));
     }
-    if (sc != nullptr) {
-      agg_us[i] = cube_timer.LapMicros();
-      sc->result_facts = static_cast<int64_t>(base.num_facts());
-      sc->wall_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
-    }
+    sub.Stage("aggregate");
+    if (sc != nullptr) sc->result_facts = static_cast<int64_t>(base.num_facts());
     return base;
   };
 
-  // Serial fold of the per-cube slots: attribution totals plus the summed
-  // scan/aggregate stage times (per-cube sums; they overlap under parallel
-  // evaluation, unlike the caller's wall-clock stage).
+  // Serial fold of the per-cube slots into the attribution totals.
   auto fold_profile = [&] {
     if (profile == nullptr) return;
-    int64_t scan_sum = 0;
-    int64_t agg_sum = 0;
-    for (size_t i = 0; i < cubes_.size(); ++i) {
-      const obs::SubcubeProfile& sc = profile->subcubes[i];
+    for (const obs::SubcubeProfile& sc : profile->subcubes) {
       profile->segments_total += sc.segments_total;
       profile->segments_scanned += sc.segments_scanned;
       profile->segments_pruned += sc.segments_pruned;
       profile->rows_scanned += sc.rows_scanned;
       profile->rows_skipped += sc.rows_skipped;
-      scan_sum += scan_us[i];
-      agg_sum += agg_us[i];
     }
-    profile->AddStage("scan", scan_sum);
-    profile->AddStage("aggregate", agg_sum);
   };
 
   std::vector<MultidimensionalObject> subresults;
@@ -894,48 +847,25 @@ Result<MultidimensionalObject> SubcubeManager::Query(
       "wall time of one whole subcube query (subqueries + final combine)");
   static obs::Counter& c_queries = registry.GetCounter(
       "dwred_subcube_queries", "subcube queries evaluated");
-  obs::TraceSpan span("subcube.query", &query_latency);
   c_queries.Increment();
-
-  // Profile into the caller's slot when given one, else into a local so the
-  // flight recorder still sees every operation. DWRED_PROFILE_DISABLED
-  // short-circuits both (prof == nullptr costs nothing below).
-  obs::OpProfile local_profile;
-  obs::OpProfile* prof = nullptr;
-  if (obs::ProfilingEnabled()) {
-    prof = profile != nullptr ? profile : &local_profile;
-    prof->op = "subcube.query";
-    prof->trace_id = span.context().trace_id;
+  obs::Op op("subcube.query", query_latency, profile);
+  obs::OpProfile* prof = op.profile();
+  if (prof != nullptr) {
     prof->now_day = now_day;
     prof->assume_synchronized = assume_synchronized;
     prof->parallel = parallel;
   }
-  obs::StageTimer stage_timer;
-
-  // Abort finalization: count the aborted query once, stamp the profile with
-  // the outcome and budget so EXPLAIN shows why the query returned nothing.
-  // Every abort return below precedes cache_->InsertQuery, so an aborted
-  // query never pollutes the cache (docs/ROBUSTNESS.md).
-  auto abort_query = [&](Status s) -> Status {
-    s = runtime::CountAbort(std::move(s));
-    if (prof != nullptr && runtime::IsAbort(s.code())) {
-      prof->outcome = runtime::OutcomeLabel(s.code());
-      prof->budget_max_rows = runtime::CurrentOpContext().max_rows();
-      prof->budget_rows_charged = runtime::CurrentOpContext().rows_charged();
-      prof->total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
-      obs::FlightRecorder::Global().Record(*prof);
-    }
-    return s;
-  };
 
   // Admission gate (runtime/governor.h): bounded wait for a slot, then shed
   // with kResourceExhausted. Acquired before the snapshot lock so a queued
   // query holds no reader lock while it waits; the ticket spans the whole
-  // evaluation.
+  // evaluation. Every abort return below precedes cache_->InsertQuery, so an
+  // aborted query never pollutes the cache (docs/ROBUSTNESS.md); each counts
+  // the aborted query once.
   runtime::AdmissionTicket ticket;
-  {
-    Status admitted = runtime::ResourceGovernor::Global().Admit(&ticket);
-    if (!admitted.ok()) return abort_query(std::move(admitted));
+  if (Status admitted = runtime::ResourceGovernor::Global().Admit(&ticket);
+      !admitted.ok()) {
+    return op.Fail(runtime::CountAbort(std::move(admitted)));
   }
 
   // Epoch-pinned snapshot: the shared lock spans lookup, evaluation and
@@ -951,7 +881,9 @@ Result<MultidimensionalObject> SubcubeManager::Query(
 
   // Cooperative abort point: before the cache lookup, so a cancelled query
   // moves no cache counters and the differential test sees identical stats.
-  DWRED_RETURN_IF_ERROR(abort_query(runtime::PollCancel("cancel.query.begin")));
+  if (Status s = runtime::PollCancel("cancel.query.begin"); !s.ok()) {
+    return op.Fail(runtime::CountAbort(std::move(s)));
+  }
 
   const std::string key = cache::QueryFingerprint(
       ctx_, pred, target, now_day, assume_synchronized, epoch);
@@ -959,45 +891,35 @@ Result<MultidimensionalObject> SubcubeManager::Query(
     prof->epoch = epoch;
     prof->cache =
         cache::Enabled() ? obs::CacheOutcome::kMiss : obs::CacheOutcome::kDisabled;
+    // Hash the key only for an EXPLAIN caller, the one reader of the
+    // fingerprint: keeps the warm path within its overhead budget
+    // (bench_query_cache.cc).
+    if (profile != nullptr) prof->fingerprint = obs::Fnv1a64(key);
   }
   if (std::shared_ptr<const MultidimensionalObject> hit =
           cache_->LookupQuery(key)) {
-    span.AddField("cache_hit", int64_t{1});
+    op.AddField("cache_hit", int64_t{1});
+    op.Stage("lookup");
+    MultidimensionalObject result = *hit;
+    op.Stage("materialize");
     if (prof != nullptr) {
       prof->cache = obs::CacheOutcome::kHit;
-      prof->budget_max_rows = runtime::CurrentOpContext().max_rows();
-      prof->result_facts = static_cast<int64_t>(hit->num_facts());
-      prof->total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
-      static obs::Histogram& op_hist = obs::OpLatencyHistogram("subcube.query");
-      op_hist.Record(prof->total_us * 1e-6);
-      // Hash the key only when someone will read the fingerprint: an EXPLAIN
-      // caller or a flight-recorder admission. Keeps the steady-state warm
-      // path within its overhead budget (bench_query_cache.cc).
-      if (profile != nullptr ||
-          obs::FlightRecorder::Global().WouldRecord(prof->total_us)) {
-        prof->fingerprint = obs::Fnv1a64(key);
-      }
-      obs::FlightRecorder::Global().Record(*prof);
+      prof->result_facts = static_cast<int64_t>(result.num_facts());
     }
-    return *hit;
+    return result;
   }
-  if (prof != nullptr) {
-    // Miss path: the scan dwarfs the hash, so always fingerprint.
-    prof->fingerprint = obs::Fnv1a64(key);
-    prof->AddStage("lookup", stage_timer.LapMicros());
-  }
+  op.Stage("lookup");
 
   std::shared_ptr<const vm::RollupProgram> roll;
   if (target != nullptr) roll = CompileRollup(*target);
   auto subs_r = QuerySubresultsLocked(pred, target, now_day,
-                                      assume_synchronized, parallel, prof,
+                                      assume_synchronized, parallel, &op,
                                       roll);
-  if (!subs_r.ok()) return abort_query(subs_r.status());
+  if (!subs_r.ok()) return op.Fail(runtime::CountAbort(subs_r.status()));
   std::vector<MultidimensionalObject> subs = subs_r.take();
-  // Wall clock of the whole fan-out (the scan/aggregate stages recorded by
-  // QuerySubresultsLocked are per-cube sums, which overlap under parallel
-  // evaluation).
-  if (prof != nullptr) prof->AddStage("subqueries_wall", stage_timer.LapMicros());
+  // Wall clock of the whole fan-out; each subcube's own scan / aggregate
+  // laps sit in its slice of the profile.
+  op.Stage("subqueries_wall");
   // Union of disjoint subresults ...
   MultidimensionalObject unioned(fact_type_, dims_, measures_);
   std::vector<ValueId> cell(dims_.size());
@@ -1027,16 +949,10 @@ Result<MultidimensionalObject> SubcubeManager::Query(
   DWRED_CHECK(version_check == version_sum);
   cache_->InsertQuery(key,
                       std::make_shared<MultidimensionalObject>(unioned));
+  // The union + final combining aggregation materializes the result.
+  op.Stage("materialize");
   if (prof != nullptr) {
-    // The union + final combining aggregation materializes the result.
-    prof->AddStage("materialize", stage_timer.LapMicros());
-    prof->budget_max_rows = runtime::CurrentOpContext().max_rows();
-    prof->budget_rows_charged = runtime::CurrentOpContext().rows_charged();
     prof->result_facts = static_cast<int64_t>(unioned.num_facts());
-    prof->total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
-    static obs::Histogram& op_hist = obs::OpLatencyHistogram("subcube.query");
-    op_hist.Record(prof->total_us * 1e-6);
-    obs::FlightRecorder::Global().Record(*prof);
   }
   return unioned;
 }

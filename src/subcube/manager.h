@@ -34,6 +34,10 @@
 
 namespace dwred {
 
+namespace obs {
+class Op;
+}  // namespace obs
+
 /// One physical subcube.
 struct Subcube {
   std::string name;                      ///< "K0", "K1", ...
@@ -203,10 +207,12 @@ class SubcubeManager {
   /// (the lock is not recursive, so Query cannot call the public wrapper).
   /// `rollup` optionally shares the query's target-granularity rollup tables
   /// with every per-cube aggregation (compiled here when null and needed).
+  /// Under a query's `op` the planning lap becomes its "plan" stage and each
+  /// subcube evaluation a slice with its own "scan" / "aggregate" stages.
   Result<std::vector<MultidimensionalObject>> QuerySubresultsLocked(
       const PredExpr* pred, const std::vector<CategoryId>* target,
       int64_t now_day, bool assume_synchronized, bool parallel,
-      obs::OpProfile* profile = nullptr,
+      obs::Op* op = nullptr,
       std::shared_ptr<const vm::RollupProgram> rollup = nullptr) const;
 
   std::string fact_type_;

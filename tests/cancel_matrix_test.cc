@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -33,8 +34,10 @@
 #include "io/recovery.h"
 #include "mdm/paper_example.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "paper_actions.h"
 #include "runtime/cancel.h"
+#include "runtime/governor.h"
 #include "spec/parser.h"
 #include "testing/fault.h"
 
@@ -166,6 +169,38 @@ Status RunQuery(DurableWarehouse& dw, bool parallel) {
   auto r = dw.subcubes()->Query(nullptr, nullptr, Now2000(),
                                 /*assume_synchronized=*/false, parallel);
   return r.ok() ? Status::OK() : r.status();
+}
+
+/// Runs `query`, which must abort with `want`, and checks the one record an
+/// aborted query leaves: exactly one dwred_subcube_query_seconds sample and —
+/// with the slow-log threshold at 0, so every root operation is over it —
+/// exactly one flight-recorder entry, carrying the abort's OutcomeLabel.
+void ExpectOneAbortRecord(const std::function<Status()>& query,
+                          StatusCode want) {
+  obs::Histogram& latency = obs::MetricsRegistry::Global().GetHistogram(
+      "dwred_subcube_query_seconds", obs::DefaultLatencyBuckets());
+  obs::FlightRecorder& fr = obs::FlightRecorder::Global();
+  ::setenv("DWRED_SLOWLOG_MIN_US", "0", 1);
+  fr.ReloadConfigFromEnv();
+  fr.Clear();
+  const uint64_t samples = latency.Count();
+  const Status st = query();
+  std::vector<obs::FlightEntry> entries = fr.LastN();
+  ::unsetenv("DWRED_SLOWLOG_MIN_US");
+  fr.ReloadConfigFromEnv();
+  fr.Clear();
+
+  EXPECT_EQ(st.code(), want) << st.ToString();
+  if (obs::kObsEnabled) {
+    EXPECT_EQ(latency.Count(), samples + 1);
+  }
+  if (!obs::ProfilingEnabled()) return;
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].op, "subcube.query");
+  EXPECT_NE(entries[0].detail.find(std::string("outcome=") +
+                                   runtime::OutcomeLabel(want)),
+            std::string::npos)
+      << entries[0].detail;
 }
 
 MatrixWorkload SubcubeMatrix(bool parallel) {
@@ -345,8 +380,8 @@ TEST_P(CancelMatrixTest, ExpiredDeadlineAbortsEveryOpCleanly) {
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
   {
     runtime::ScopedOpContext scope(ctx);
-    EXPECT_EQ(RunQuery(dw, GetParam() > 1).code(),
-              StatusCode::kDeadlineExceeded);
+    ExpectOneAbortRecord([&] { return RunQuery(dw, GetParam() > 1); },
+                         StatusCode::kDeadlineExceeded);
     EXPECT_EQ(dw.SynchronizePass(Now2000()).code(),
               StatusCode::kDeadlineExceeded);
     IspExample batch = MakeIspExample();
@@ -376,8 +411,8 @@ TEST_P(CancelMatrixTest, TinyRowBudgetExhaustsQueryCleanly) {
   ctx.SetMaxRows(1);  // the base warehouse holds 7 bottom facts
   {
     runtime::ScopedOpContext scope(ctx);
-    EXPECT_EQ(RunQuery(dw, GetParam() > 1).code(),
-              StatusCode::kResourceExhausted);
+    ExpectOneAbortRecord([&] { return RunQuery(dw, GetParam() > 1); },
+                         StatusCode::kResourceExhausted);
     EXPECT_EQ(dw.SynchronizePass(Now2000()).code(),
               StatusCode::kResourceExhausted);
   }
@@ -413,16 +448,55 @@ TEST_P(CancelMatrixTest, AbortedQueryFillsProfileOutcome) {
   testing::FaultInjector::Global().Arm("cancel.query.begin", 1,
                                        testing::FaultMode::kCancel);
   obs::OpProfile prof;
-  auto r = dw.subcubes()->Query(nullptr, nullptr, Now2000(), false,
-                                GetParam() > 1, nullptr, &prof);
+  Status st;
+  ExpectOneAbortRecord(
+      [&] {
+        auto r = dw.subcubes()->Query(nullptr, nullptr, Now2000(), false,
+                                      GetParam() > 1, nullptr, &prof);
+        st = r.ok() ? Status::OK() : r.status();
+        return st;
+      },
+      StatusCode::kCancelled);
   testing::FaultInjector::Global().Disarm();
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kCancelled);
   EXPECT_EQ(prof.outcome, "cancelled");
   EXPECT_NE(prof.Render().find("outcome:"), std::string::npos);
   EXPECT_NE(prof.ToJson().find("\"outcome\":\"cancelled\""),
             std::string::npos);
   EXPECT_NE(prof.Summary().find("outcome=cancelled"), std::string::npos);
+}
+
+// A query shed at the admission gate is an abort like the others: it fills
+// the caller's profile with its outcome, leaves the warehouse untouched, and
+// leaves one latency sample and one slow-log entry.
+TEST_P(CancelMatrixTest, ShedQueryFillsProfileOutcome) {
+  const std::string dir = base_ + "/shed";
+  auto dw_r = BuildSubcubeBase(dir);
+  ASSERT_TRUE(dw_r.ok()) << dw_r.status().ToString();
+  DurableWarehouse& dw = *dw_r.value();
+  StateProbe before = StateProbe::Of(dw);
+
+  runtime::ResourceGovernor& gov = runtime::ResourceGovernor::Global();
+  gov.Configure(1, 0);  // one slot, shed at once when it is taken
+  obs::OpProfile prof;
+  {
+    runtime::AdmissionTicket held;
+    ASSERT_TRUE(gov.Admit(&held).ok());
+    ExpectOneAbortRecord(
+        [&] {
+          auto r = dw.subcubes()->Query(nullptr, nullptr, Now2000(), false,
+                                        GetParam() > 1, nullptr, &prof);
+          return r.ok() ? Status::OK() : r.status();
+        },
+        StatusCode::kResourceExhausted);
+  }
+  gov.ConfigureFromEnv();
+  if (obs::ProfilingEnabled()) {
+    EXPECT_EQ(prof.outcome, "resource_exhausted");
+  }
+  StateProbe::Of(dw).ExpectUnchangedFrom(before, "shed", 0);
+  EXPECT_TRUE(RunQuery(dw, GetParam() > 1).ok());
 }
 
 TEST_P(CancelMatrixTest, CancelCountersMoveOncePerAbortedOp) {

@@ -6,6 +6,7 @@
 // Also covers the flight recorder's admission threshold, bounds, and env
 // knobs, the DWRED_PROFILE_DISABLED opt-out, and the profile render surfaces.
 
+#include <algorithm>
 #include <cstdlib>
 
 #include <map>
@@ -25,6 +26,7 @@
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "paper_actions.h"
+#include "reduce/semantics.h"
 #include "spec/parser.h"
 #include "subcube/manager.h"
 
@@ -144,13 +146,21 @@ TEST_F(ProfileTest, ExplainMatchesScanCounterDeltasOnPrunedPath) {
   EXPECT_EQ(sum_skipped, profile.rows_skipped);
   EXPECT_EQ(sum_rows, profile.rows_scanned);
 
-  // Every stage of the pipeline is timed.
+  // Every stage of the pipeline is timed: the query's own stages at the top
+  // level, each subcube's scan and aggregate in that subcube's slice.
   std::set<std::string> stage_names;
   for (const obs::StageTime& s : profile.stages) stage_names.insert(s.name);
   for (const char* want :
-       {"lookup", "plan", "scan", "aggregate", "subqueries_wall",
-        "materialize"}) {
+       {"lookup", "plan", "subqueries_wall", "materialize"}) {
     EXPECT_TRUE(stage_names.count(want)) << "missing stage " << want;
+  }
+  for (const obs::SubcubeProfile& sc : profile.subcubes) {
+    std::set<std::string> cube_stages;
+    for (const obs::StageTime& s : sc.stages) cube_stages.insert(s.name);
+    for (const char* want : {"scan", "aggregate"}) {
+      EXPECT_TRUE(cube_stages.count(want))
+          << "missing stage " << want << " of " << sc.name;
+    }
   }
 
   // Repeat in the same epoch: a cache hit with the same fingerprint and no
@@ -268,6 +278,79 @@ TEST_F(ProfileTest, SynchronizeFillsPassProfile) {
   EXPECT_EQ(counters["rows_migrated"], static_cast<int64_t>(moved.value()));
   EXPECT_TRUE(counters.count("rows_deleted"));
   EXPECT_TRUE(counters.count("cells_compacted"));
+}
+
+// Top-level stages tile their operation: obs::Op laps are contiguous from
+// the open, so the stage times sum to at most the total, and what is left —
+// the close of the operation — is at most max(5% of the total, 50us). The
+// close is a clock read, one histogram sample and the profile stamp, far
+// under 50us even under sanitizers; 5% covers long operations on a loaded
+// host.
+void ExpectStagesTile(const std::string& what, int64_t total_us,
+                      const std::vector<obs::StageTime>& stages) {
+  ASSERT_FALSE(stages.empty()) << what;
+  int64_t sum = 0;
+  for (const obs::StageTime& s : stages) {
+    EXPECT_GE(s.wall_us, 0) << what << " " << s.name;
+    sum += s.wall_us;
+  }
+  EXPECT_LE(sum, total_us) << what;
+  EXPECT_LE(total_us - sum, std::max<int64_t>(total_us / 20, 50))
+      << what << ": " << sum << "us of stages in " << total_us << "us";
+}
+
+// The stage-sum contract on four operations: a query miss (and each of its
+// subcube slices), a query hit, a synchronize pass, and a reduce pass (read
+// from its trace tree: the pass has no caller profile, its stages are the
+// child spans of the reduce.pass span).
+TEST_F(ProfileTest, StageTimesTileEachOperation) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "built with DWRED_OBS_DISABLED";
+  IspExample ex;
+  std::unique_ptr<SubcubeManager> mgr = MakeWarehouse(&ex);
+  const int64_t now = DaysFromCivil({2000, 11, 5});
+
+  obs::OpProfile sync;
+  ASSERT_TRUE(mgr->Synchronize(now, &sync).ok());
+  ExpectStagesTile("sync", sync.total_us, sync.stages);
+
+  auto pred = ParsePredicate(*ex.mo, "Time.month <= 1999/11").take();
+  auto gran = ParseGranularityList(*ex.mo, "Time.month, URL.domain").take();
+  obs::OpProfile miss;
+  ASSERT_TRUE(mgr->Query(pred.get(), &gran, now, /*assume_synchronized=*/true,
+                         /*parallel=*/true, nullptr, &miss)
+                  .ok());
+  ASSERT_EQ(miss.cache, obs::CacheOutcome::kMiss);
+  ExpectStagesTile("query miss", miss.total_us, miss.stages);
+  for (const obs::SubcubeProfile& sc : miss.subcubes) {
+    ExpectStagesTile("subquery " + sc.name, sc.wall_us, sc.stages);
+  }
+
+  obs::OpProfile hit;
+  ASSERT_TRUE(mgr->Query(pred.get(), &gran, now, /*assume_synchronized=*/true,
+                         /*parallel=*/true, nullptr, &hit)
+                  .ok());
+  ASSERT_EQ(hit.cache, obs::CacheOutcome::kHit);
+  ExpectStagesTile("query hit", hit.total_us, hit.stages);
+
+  ReductionSpecification spec;
+  spec.Add(ParseAction(*ex.mo, paper::kA1, "a1").take());
+  spec.Add(ParseAction(*ex.mo, paper::kA2, "a2").take());
+  obs::TraceBuffer::Global().Enable(64);
+  ASSERT_TRUE(Reduce(*ex.mo, spec, now).ok());
+  std::vector<obs::TraceEvent> events = obs::TraceBuffer::Global().Snapshot();
+  obs::TraceBuffer::Global().Disable();
+  const obs::TraceEvent* pass = nullptr;
+  for (const obs::TraceEvent& ev : events) {
+    if (ev.name == "reduce.pass") pass = &ev;
+  }
+  ASSERT_NE(pass, nullptr);
+  std::vector<obs::StageTime> reduce_stages;
+  for (const obs::TraceEvent& ev : events) {
+    if (ev.parent_id == pass->span_id) {
+      reduce_stages.push_back({ev.name, ev.duration_us});
+    }
+  }
+  ExpectStagesTile("reduce", pass->duration_us, reduce_stages);
 }
 
 // DWRED_PROFILE_DISABLED set non-empty turns the whole subsystem off: the
@@ -420,9 +503,10 @@ TEST_F(ProfileTest, FingerprintAndRenderSurfaces) {
   p.segments_pruned = 37;
   p.rows_skipped = 970000;
   p.result_facts = 12;
-  p.AddStage("plan", 15);
+  p.stages.push_back({"plan", 15});
   p.AddCounter("rows_migrated", 4);
-  p.subcubes.push_back({"K1", 38, 1, 37, 30000, 970000, 12, 99});
+  p.subcubes.push_back(
+      {"K1", 38, 1, 37, 30000, 970000, 12, 99, {{"aggregate", 61}}});
   p.total_us = 123;
 
   std::string text = p.Render();
@@ -434,12 +518,15 @@ TEST_F(ProfileTest, FingerprintAndRenderSurfaces) {
   EXPECT_NE(text.find("plan"), std::string::npos);
   EXPECT_NE(text.find("rows_migrated:"), std::string::npos);
   EXPECT_NE(text.find("K1"), std::string::npos);
+  EXPECT_NE(text.find("aggregate"), std::string::npos);
 
   std::string json = p.ToJson();
   EXPECT_NE(json.find("\"op\":\"subcube.query\""), std::string::npos);
   EXPECT_NE(json.find("\"segments_pruned\":37"), std::string::npos);
   EXPECT_NE(json.find("\"stages\":"), std::string::npos);
   EXPECT_NE(json.find("\"subcubes\":"), std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"aggregate\",\"wall_us\":61}"),
+            std::string::npos);
 
   std::string summary = p.Summary();
   EXPECT_NE(summary.find("cache=hit"), std::string::npos);

@@ -14,7 +14,9 @@
 //   * robustness: row budgets map to ResourceExhausted over the wire,
 //     corrupt/oversized frames get one error response then a close, the
 //     connection cap sheds with ResourceExhausted, and a mid-command client
-//     disconnect never corrupts the warehouse.
+//     disconnect never corrupts the warehouse;
+//   * instrumentation: one served query is one trace tree rooted at
+//     net.query, one slow-log entry, and one net latency sample.
 
 #include "net/server.h"
 
@@ -27,6 +29,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +41,8 @@
 #include "mdm/paper_example.h"
 #include "net/client.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
+#include "obs/trace.h"
 #include "paper_actions.h"
 #include "reduce/dynamics.h"
 #include "spec/parser.h"
@@ -259,6 +264,79 @@ TEST_F(ServerTest, ExplainOverTheWire) {
   if (obs::ProfilingEnabled()) {
     EXPECT_NE(explained.value().body.find("cache"), std::string::npos);
   }
+}
+
+// One served query is one operation tree: net.query is the root, the engine
+// query and each subcube's subquery sit under it with its trace id; the
+// request over the slow-log threshold leaves exactly one flight-recorder
+// entry (the root's, not a second one for the nested engine query); and its
+// net latency histogram moves by exactly one sample.
+TEST_F(ServerTest, ServedQueryIsOneTraceTreeAndOneSlowlogEntry) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "built with DWRED_OBS_DISABLED";
+  Client c = Connect();
+  ::setenv("DWRED_SLOWLOG_MIN_US", "0", 1);
+  obs::FlightRecorder& fr = obs::FlightRecorder::Global();
+  fr.ReloadConfigFromEnv();
+  fr.Clear();
+  obs::Histogram& latency = obs::MetricsRegistry::Global().GetHistogram(
+      "dwred_net_query_seconds", obs::DefaultLatencyBuckets());
+  const uint64_t samples = latency.Count();
+  obs::TraceBuffer::Global().Enable(1024);
+
+  auto resp = c.Call(QueryReq(kQueryParallel));
+
+  std::vector<obs::TraceEvent> events = obs::TraceBuffer::Global().Snapshot();
+  obs::TraceBuffer::Global().Disable();
+  std::vector<obs::FlightEntry> entries = fr.LastN();
+  ::unsetenv("DWRED_SLOWLOG_MIN_US");
+  fr.ReloadConfigFromEnv();
+  fr.Clear();
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  ASSERT_EQ(resp.value().code, StatusCode::kOk);
+
+  const obs::TraceEvent* root = nullptr;
+  for (const obs::TraceEvent& ev : events) {
+    if (ev.name == "net.query") {
+      ASSERT_EQ(root, nullptr) << "more than one net.query span";
+      root = &ev;
+    }
+  }
+  ASSERT_NE(root, nullptr);
+  EXPECT_EQ(root->parent_id, 0u);
+  std::map<uint64_t, const obs::TraceEvent*> by_span;
+  for (const obs::TraceEvent& ev : events) by_span[ev.span_id] = &ev;
+  size_t queries = 0;
+  size_t subqueries = 0;
+  for (const obs::TraceEvent& ev : events) {
+    EXPECT_EQ(ev.trace_id, root->trace_id) << ev.name;
+    if (ev.name == "subcube.query") {
+      ++queries;
+      EXPECT_EQ(ev.parent_id, root->span_id);
+    }
+    if (ev.name.rfind("subcube.subquery", 0) == 0) ++subqueries;
+    // Every parent chain reaches the net.query root.
+    uint64_t cur = ev.span_id;
+    for (int hops = 0; cur != root->span_id; ++hops) {
+      auto it = by_span.find(cur);
+      ASSERT_NE(it, by_span.end()) << "broken chain at " << ev.name;
+      ASSERT_LE(hops, 64) << "cycle in span tree";
+      cur = it->second->parent_id;
+    }
+  }
+  EXPECT_EQ(queries, 1u);
+  EXPECT_EQ(subqueries, mgr_->num_subcubes());
+
+  if (obs::ProfilingEnabled()) {
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].op, "net.query");
+    EXPECT_EQ(entries[0].trace_id, root->trace_id);
+    // The root's entry carries the engine query's profile.
+    EXPECT_NE(entries[0].detail.find(
+                  "fan_out=" + std::to_string(mgr_->num_subcubes())),
+              std::string::npos)
+        << entries[0].detail;
+  }
+  EXPECT_EQ(latency.Count(), samples + 1);
 }
 
 // Concurrent sessions, pipelined windows: every response is byte-identical

@@ -3,8 +3,8 @@
 #
 #   tools/run_tier1.sh                 # plain build + ctest
 #   tools/run_tier1.sh --sanitize      # -DDWRED_SANITIZE=address;undefined,
-#                                      # full ctest, then the crash matrix
-#                                      # again with strict sanitizer options
+#                                      # full ctest with UBSan fatal, then the
+#                                      # crash matrix again with ASan fatal
 #   tools/run_tier1.sh --tsan          # -DDWRED_SANITIZE=thread; runs the
 #                                      # concurrency suite (pool stress, the
 #                                      # serial-vs-parallel differential
@@ -35,10 +35,13 @@ case "$mode" in
     cmake -B build-asan -S . "-DDWRED_SANITIZE=address;undefined"
     cmake --build build-asan -j
     cd build-asan
-    ctest --output-on-failure -j
+    # UBSan reports are fatal for the whole suite: any undefined behaviour
+    # fails the run instead of scrolling by in a passing test's output.
+    UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+      ctest --output-on-failure -j
     # The crash matrix forks a child per (fault site, occurrence) and the child
-    # dies at an IO boundary; rerun it with every sanitizer report fatal so a
-    # leak or UB on the recovery path fails the run rather than scrolling by.
+    # dies at an IO boundary; rerun it with every ASan report fatal too so a
+    # leak on the recovery path fails the run rather than scrolling by.
     ASAN_OPTIONS="abort_on_error=1:halt_on_error=1" \
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
       ctest --output-on-failure -R 'crash_matrix_test|journal_test|recovery_test'
