@@ -1,11 +1,15 @@
 // B5 — querying the subcube warehouse (paper Section 7.3): per-subcube
 // evaluation plus one final combining aggregation, in both the synchronized
-// state and the un-synchronized state (Figure 9's rewrite, which additionally
-// pulls rows from immediate parents and filters by current responsibility).
+// state and the un-synchronized state (Figure 9's rewrite, which first plans
+// every stored row's responsible subcube — Synchronize's placement plan — and
+// pre-aggregates each cube's share before the same σ→α scan).
 //
 // Expected shape: the synchronized path's cost tracks resident rows; the
-// un-synchronized path pays a responsibility re-check per candidate row, so
-// it costs more — the price of querying without waiting for synchronization.
+// un-synchronized path pays the placement plan over every stored row and the
+// pre-aggregation, so it costs more — the price of querying without waiting
+// for synchronization. Both rows carry `result_crc`, the CRC32 of the answer
+// as the server renders it (net::RenderResult): timing may move, bytes may
+// not (bench/results/subcube_query.json, gated in CI).
 //
 // Every benchmark here runs with the query cache disabled
 // (DWRED_CACHE_DISABLED=1, as bench_vm_compile's cold rows): the same query
@@ -16,6 +20,8 @@
 #include <cstdlib>
 
 #include "exec/thread_pool.h"
+#include "io/atomic_file.h"
+#include "net/server.h"
 #include "subcube/manager.h"
 
 namespace dwred::bench {
@@ -76,6 +82,7 @@ void BM_QuerySynchronized(benchmark::State& state) {
   CacheOff cache_off;
   Warehouse wh = MakeWarehouse(static_cast<size_t>(state.range(0)), false);
   (void)wh.mgr->Synchronize(wh.t);
+  uint32_t crc = 0;
   for (auto _ : state) {
     auto r = wh.mgr->Query(wh.pred.get(), &wh.gran, wh.t, true);
     if (!r.ok()) {
@@ -83,12 +90,16 @@ void BM_QuerySynchronized(benchmark::State& state) {
       return;
     }
     benchmark::DoNotOptimize(r.value().num_facts());
+    state.PauseTiming();
+    crc = Crc32(net::RenderResult(r.value()));
+    state.ResumeTiming();
   }
   size_t rows = 0;
   for (size_t i = 0; i < wh.mgr->num_subcubes(); ++i) {
     rows += wh.mgr->subcube(i).table.num_rows();
   }
   state.counters["resident_rows"] = static_cast<double>(rows);
+  state.counters["result_crc"] = static_cast<double>(crc);
 }
 
 BENCHMARK(BM_QuerySynchronized)
@@ -120,6 +131,7 @@ BENCHMARK(BM_QuerySynchronizedParallel)
 void BM_QueryUnsynchronized(benchmark::State& state) {
   CacheOff cache_off;
   Warehouse wh = MakeWarehouse(static_cast<size_t>(state.range(0)), true);
+  uint32_t crc = 0;
   for (auto _ : state) {
     auto r = wh.mgr->Query(wh.pred.get(), &wh.gran, wh.t, false);
     if (!r.ok()) {
@@ -127,12 +139,16 @@ void BM_QueryUnsynchronized(benchmark::State& state) {
       return;
     }
     benchmark::DoNotOptimize(r.value().num_facts());
+    state.PauseTiming();
+    crc = Crc32(net::RenderResult(r.value()));
+    state.ResumeTiming();
   }
   size_t rows = 0;
   for (size_t i = 0; i < wh.mgr->num_subcubes(); ++i) {
     rows += wh.mgr->subcube(i).table.num_rows();
   }
   state.counters["resident_rows"] = static_cast<double>(rows);
+  state.counters["result_crc"] = static_cast<double>(crc);
 }
 
 BENCHMARK(BM_QueryUnsynchronized)

@@ -322,12 +322,15 @@ void Server::Session(int fd) {
     inbuf.append(chunk, static_cast<size_t>(n));
 
     // Drain every complete frame before the next read so pipelined bursts
-    // are answered in one batched write.
+    // are answered in one batched write. Frames are consumed by offset and
+    // the buffer is compacted once per read, so a burst costs linear time.
     outbuf.clear();
     std::string payload, error;
     size_t consumed = 0;
+    size_t offset = 0;
     while (!poisoned) {
-      FrameParse fp = ExtractFrame(inbuf, &payload, &consumed, &error);
+      FrameParse fp = ExtractFrame(std::string_view(inbuf).substr(offset),
+                                   &payload, &consumed, &error);
       if (fp == FrameParse::kNeedMore) break;
       if (fp == FrameParse::kBad) {
         m.protocol_errors.Increment();
@@ -338,7 +341,7 @@ void Server::Session(int fd) {
         poisoned = true;  // frame boundaries are lost; answer once and close
         break;
       }
-      inbuf.erase(0, consumed);
+      offset += consumed;
       m.frames.Increment();
 
       auto req = DecodeRequest(payload);
@@ -355,6 +358,7 @@ void Server::Session(int fd) {
       // documented short read (tools/run_server_kill.sh scenario 2).
       if (shutdown_cmd) break;
     }
+    inbuf.erase(0, offset);
     if (!outbuf.empty()) {
       Status wr = WriteAll(fd, outbuf);
       if (!wr.ok()) {

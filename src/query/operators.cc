@@ -167,7 +167,7 @@ Result<SelectionResult> Select(const MultidimensionalObject& mo,
 }
 
 Result<SelectionResult> SelectFromScan(
-    const FactTable& t, const scan::ScanPlan& plan, const PredExpr& pred,
+    const FactTable& t, const scan::ScanPlan& plan, const PredExpr* pred,
     int64_t now_day, SelectionApproach approach, const std::string& fact_type,
     const std::vector<std::shared_ptr<Dimension>>& dims,
     const std::vector<MeasureType>& measures,
@@ -193,7 +193,9 @@ Result<SelectionResult> SelectFromScan(
   // sound for every approach — so output bytes match the unpruned pipeline.
   std::vector<double> weights;
   vm::CompiledScan cs(compiled, [&](const ValueId* c) {
-    return EvalQueryPredOnCoords(pred, dims, c, now_day, approach);
+    return pred != nullptr
+               ? EvalQueryPredOnCoords(*pred, dims, c, now_day, approach)
+               : 1.0;
   });
   cs.WeighTable(t, plan, &weights);
 
@@ -221,7 +223,7 @@ Result<SelectionResult> SelectFromScan(
             // Table rows were validated on insert against these same
             // dimensions, so the survivors append unchecked.
             FactId nf = out.mo.AppendFactUnchecked(coords, meas);
-            // The names Select over MaterializeMO would have produced.
+            // The names Select over the table's ToMO() would carry.
             if (materialize_names) {
               out.mo.SetFactName(nf, "fact_" + std::to_string(first + i));
             }
@@ -570,7 +572,7 @@ Result<MultidimensionalObject> AggregateFormation(
 }
 
 Result<MultidimensionalObject> AggregateFromScan(
-    const FactTable& t, const scan::ScanPlan& plan, const PredExpr& pred,
+    const FactTable& t, const scan::ScanPlan& plan, const PredExpr* pred,
     int64_t now_day, SelectionApproach approach, const std::string& fact_type,
     const std::vector<std::shared_ptr<Dimension>>& dims,
     const std::vector<MeasureType>& measures,
@@ -603,7 +605,9 @@ Result<MultidimensionalObject> AggregateFromScan(
   // each chunk in place (chunk weights never leave the batch); the two-phase
   // fold fills the table-sized weight vector first.
   vm::CompiledScan cs(compiled, [&](const ValueId* c) {
-    return EvalQueryPredOnCoords(pred, dims, c, now_day, approach);
+    return pred != nullptr
+               ? EvalQueryPredOnCoords(*pred, dims, c, now_day, approach)
+               : 1.0;
   });
 
   // The serial ascending pass SelectFromScan + AggregateFormation would have

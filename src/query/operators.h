@@ -33,20 +33,19 @@ Result<SelectionResult> Select(const MultidimensionalObject& mo,
                                const std::shared_ptr<const vm::PredProgram>&
                                    compiled = nullptr);
 
-/// The fused scan-and-select of the pruned query path: evaluates σ[pred]
-/// directly over the plan's rows of a fact table, skipping the intermediate
-/// MaterializeMO copy. Byte-identical to
-/// Select(MaterializeMO(t, plan, ...), pred, ...): facts are emitted in
-/// ascending logical row order under their table-scan names
-/// ("fact_<logical row>"), so output does not depend on pruning or thread
-/// count. `compiled` as in Select.
-/// `materialize_names` (default true) stores the "fact_<row>" display names
-/// Select over MaterializeMO would have produced. Callers that immediately
-/// aggregate the selection — which rebuilds facts and discards names — pass
-/// false to skip the per-survivor string materialization; result *query*
-/// bytes are unchanged because the intermediate MO never escapes.
+/// The scan-and-select of the query path: evaluates σ[pred] directly over
+/// the plan's rows of a fact table. Byte-identical to Select over the
+/// table's ToMO(): facts are emitted in ascending logical row order under
+/// their table-scan names ("fact_<logical row>"), so output does not depend
+/// on pruning or thread count. A null `pred` weighs every row 1 (the plan's
+/// rows, unfiltered). `compiled` as in Select.
+/// `materialize_names` (default true) stores the "fact_<row>" display names.
+/// Callers that immediately aggregate the selection — which rebuilds facts
+/// and discards names — pass false to skip the per-survivor string
+/// materialization; result *query* bytes are unchanged because the
+/// intermediate MO never escapes.
 Result<SelectionResult> SelectFromScan(
-    const FactTable& t, const scan::ScanPlan& plan, const PredExpr& pred,
+    const FactTable& t, const scan::ScanPlan& plan, const PredExpr* pred,
     int64_t now_day, SelectionApproach approach, const std::string& fact_type,
     const std::vector<std::shared_ptr<Dimension>>& dims,
     const std::vector<MeasureType>& measures,
@@ -92,10 +91,10 @@ Result<MultidimensionalObject> AggregateFormation(
     bool track_provenance = true,
     const std::shared_ptr<const vm::RollupProgram>& rollup = nullptr);
 
-/// The fully fused σ→α of the compiled query path: selection weights are
-/// computed over the plan's rows and each surviving row's rolled-up cell is
-/// folded straight into its output group, skipping the intermediate
-/// selection MO entirely. Byte-identical to
+/// The fully fused σ→α of the query path: selection weights are computed
+/// over the plan's rows and each surviving row's rolled-up cell is folded
+/// straight into its output group, skipping the intermediate selection MO
+/// entirely. A null `pred` weighs every row 1 (α alone). Byte-identical to
 ///   AggregateFormation(SelectFromScan(t, plan, pred, now_day, approach,
 ///                      ..., compiled, /*materialize_names=*/false).mo,
 ///                      target, kAvailability, /*track_provenance=*/false,
@@ -105,7 +104,7 @@ Result<MultidimensionalObject> AggregateFormation(
 /// (docs/COMPILATION.md). Availability approach only — the only one the
 /// subcube query path combines with. `rollup` may be null (per-row walks).
 Result<MultidimensionalObject> AggregateFromScan(
-    const FactTable& t, const scan::ScanPlan& plan, const PredExpr& pred,
+    const FactTable& t, const scan::ScanPlan& plan, const PredExpr* pred,
     int64_t now_day, SelectionApproach approach, const std::string& fact_type,
     const std::vector<std::shared_ptr<Dimension>>& dims,
     const std::vector<MeasureType>& measures,

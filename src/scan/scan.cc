@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/check.h"
 #include "obs/metrics.h"
 #include "spec/predicate_analysis.h"
 
@@ -179,36 +178,6 @@ ScanPlan PlanMoScan(size_t n, size_t grain) {
   plan.units = exec::PartitionShards(
       n, grain, threads == 1 ? 1 : static_cast<size_t>(threads) * 4);
   return plan;
-}
-
-MultidimensionalObject MaterializeMO(
-    const FactTable& t, const ScanPlan& plan, const std::string& fact_type,
-    const std::vector<std::shared_ptr<Dimension>>& dims,
-    const std::vector<MeasureType>& measures) {
-  DWRED_CHECK(dims.size() == t.num_dims());
-  DWRED_CHECK(measures.size() == t.num_measures());
-  MultidimensionalObject mo(fact_type, dims, measures);
-  std::vector<ValueId> coords(t.num_dims());
-  std::vector<int64_t> meas(t.num_measures());
-  for (const exec::Shard& u : plan.units) {
-    t.ForEachBatch(u.begin, u.end, [&](const FactTable::BatchView& b) {
-      for (size_t i = 0; i < b.rows(); ++i) {
-        for (size_t d = 0; d < coords.size(); ++d) {
-          coords[d] = b.dim_col(d)[i];
-        }
-        for (size_t m = 0; m < meas.size(); ++m) meas[m] = b.meas_col(m)[i];
-        Result<FactId> res = mo.AddFact(coords, meas);
-        DWRED_CHECK(res.ok());
-        // Keep the names a full ToMO() would have produced so downstream
-        // output is identical whether or not segments were pruned.
-        const RowId r = b.first_row() + i;
-        if (static_cast<RowId>(res.value()) != r) {
-          mo.SetFactName(res.value(), "fact_" + std::to_string(r));
-        }
-      }
-    });
-  }
-  return mo;
 }
 
 }  // namespace dwred::scan

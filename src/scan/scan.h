@@ -1,8 +1,8 @@
 #pragma once
 
 // The unified scan layer: every pass that iterates facts — Reduce's cell
-// grouping, Synchronize's migration planning, and the per-subcube query
-// evaluation of α[G_i]σ[P_i](K_i ∪ parents) (paper Section 7) — goes through
+// grouping, the subcube placement plan (Synchronize and Figure 9), and the
+// per-subcube query scan (paper Section 7) — goes through
 // one ScanSpec → ScanPlanner → Execute API instead of hand-rolled row loops.
 //
 // A ScanSpec is the compiled form of a selection predicate for *segment
@@ -114,14 +114,5 @@ template <typename Fn>
 void Execute(const ScanPlan& plan, Fn&& fn) {
   exec::ThreadPool::Global().ParallelForShards(plan.units, std::forward<Fn>(fn));
 }
-
-/// Materializes the plan's rows of `t` as an MO in ascending logical order.
-/// Facts keep their table-scan names ("fact_<logical row>"), so downstream
-/// operators produce byte-identical output whether or not segments were
-/// pruned (the pruned rows are exactly rows no conjunct can match).
-MultidimensionalObject MaterializeMO(
-    const FactTable& t, const ScanPlan& plan, const std::string& fact_type,
-    const std::vector<std::shared_ptr<Dimension>>& dims,
-    const std::vector<MeasureType>& measures);
 
 }  // namespace dwred::scan

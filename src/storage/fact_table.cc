@@ -519,30 +519,28 @@ Result<size_t> FactTable::CompactCells(std::span<const AggFn> aggs) {
         " aggregate functions for " + std::to_string(nmeas_) + " measures");
   }
   // Fold duplicate cells into their first occurrence, preserving
-  // first-occurrence logical order.
+  // first-occurrence logical order. The folded rows live in flat row-major
+  // arrays, so only a new cell's index key allocates.
   std::unordered_map<std::vector<ValueId>, size_t, CellKeyHash> first;
-  std::vector<std::vector<ValueId>> cells;
-  std::vector<std::vector<int64_t>> folded;
-  bool any = false;
+  first.reserve(num_rows_);
+  std::vector<ValueId> cells;
+  std::vector<int64_t> folded;
   std::vector<ValueId> key(ndims_);
   ForEachRow(0, num_rows_, [&](RowId, const RowRef& row) {
     for (size_t d = 0; d < ndims_; ++d) key[d] = row.coord(d);
-    auto it = first.find(key);
-    if (it == first.end()) {
-      first.emplace(key, cells.size());
-      cells.push_back(key);
-      std::vector<int64_t> meas(nmeas_);
-      for (size_t m = 0; m < nmeas_; ++m) meas[m] = row.measure(m);
-      folded.push_back(std::move(meas));
+    auto [it, inserted] = first.try_emplace(key, first.size());
+    if (inserted) {
+      cells.insert(cells.end(), key.begin(), key.end());
+      for (size_t m = 0; m < nmeas_; ++m) folded.push_back(row.measure(m));
     } else {
-      std::vector<int64_t>& acc = folded[it->second];
+      int64_t* acc = folded.data() + it->second * nmeas_;
       for (size_t m = 0; m < nmeas_; ++m) {
         acc[m] = CombineMeasure(aggs[m], acc[m], row.measure(m));
       }
-      any = true;
     }
   });
-  if (!any) return size_t{0};
+  const size_t groups = first.size();
+  if (groups == num_rows_) return size_t{0};
 
   // Rebuild the table from the folded rows (canonical segmentation, no
   // tombstones); report the footprint change in one step.
@@ -552,7 +550,10 @@ Result<size_t> FactTable::CompactCells(std::span<const AggFn> aggs) {
   num_rows_ = 0;
   phys_rows_ = 0;
   data_bytes_ = 0;
-  for (size_t i = 0; i < cells.size(); ++i) Append(cells[i], folded[i]);
+  for (size_t g = 0; g < groups; ++g) {
+    Append(std::span<const ValueId>(cells).subspan(g * ndims_, ndims_),
+           std::span<const int64_t>(folded).subspan(g * nmeas_, nmeas_));
+  }
   // Append() tracks bytes against reported_bytes_, so the byte gauges are
   // already exact; rows were credited on top of the pre-rebuild contribution,
   // so withdraw that.

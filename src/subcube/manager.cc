@@ -336,75 +336,33 @@ Status SubcubeManager::RestoreRow(size_t cube, std::span<const ValueId> cell,
   return Status::OK();
 }
 
-Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
-                                           obs::OpProfile* profile) {
-  auto& registry = obs::MetricsRegistry::Global();
-  static obs::Histogram& sync_latency = registry.GetHistogram(
-      "dwred_subcube_sync_seconds", obs::DefaultLatencyBuckets(),
-      "wall time of one subcube synchronization pass (Section 7.2)");
-  obs::Op op("subcube.sync", sync_latency, profile);
-  obs::OpProfile* prof = op.profile();
-  if (prof != nullptr) {
-    prof->now_day = now_day;
-    prof->parallel = true;  // plan fans out over the pool; apply is serial
-    prof->fan_out = static_cast<int64_t>(cubes_.size());
-  }
-
-  // Writers are exclusive: no query may observe a half-migrated manifest.
-  std::unique_lock<std::shared_mutex> snapshot_lock(cache_->snapshot_mutex());
-  EpochBumpGuard bump(*cache_);
-  if (prof != nullptr) prof->epoch = cache_->epoch();
-
-  std::vector<AggFn> aggs;
-  for (const auto& m : measures_) aggs.push_back(m.agg);
-
+Result<std::vector<SubcubeManager::Placement>> SubcubeManager::PlanPlacement(
+    int64_t now_day, const char* poll_site) const {
   // Per-action predicate programs (src/vm), compiled once for the whole
-  // pass and shared read-only by every plan shard.
+  // plan and shared read-only by every shard.
   const SpecPrograms progs = CompileSpecPrograms(now_day);
-  if (prof != nullptr) prof->compiled = !progs.empty();
-
-  size_t migrated = 0;
-  size_t deleted = 0;
-  size_t compacted = 0;
   const size_t ndims = dims_.size();
-  const size_t nmeas = measures_.size();
-  std::vector<ValueId> cell(ndims);
-  std::vector<int64_t> meas(nmeas);
-
-  // Snapshot row counts: rows appended during this pass already sit in their
-  // responsible cube and need no re-examination.
-  std::vector<size_t> snapshot;
-  for (const auto& c : cubes_) snapshot.push_back(c->table.num_rows());
-
-  // --- Parallel plan, serial apply (docs/PARALLELISM.md) ------------------
   // A row's destination depends only on its cell, the specification and
   // now_day — never on other rows or on table contents — so the per-row
-  // migration decisions (ResponsibleCube + RollCell) fan out over each
-  // cube's storage segments (the natural shard unit, docs/STORAGE.md),
-  // read-only. Synchronization must examine *every* row, so the scan plan is
-  // unpruned. The mutations (appends, erases, counters) then replay serially
-  // in the original (cube, row) order, so the resulting tables — and the WAL
-  // intent stream recorded around this pass — are byte-identical at every
-  // thread count.
-  struct CubePlan {
-    std::vector<size_t> target;   // per row < snapshot[i]; == i means stay
-    std::vector<ValueId> rolled;  // row-major cells, valid when migrating
-    std::vector<Status> shard_error;  // first error per shard (shard stops)
-  };
-  std::vector<CubePlan> plans(cubes_.size());
+  // decisions (ResponsibleCube + RollCell) fan out over each cube's storage
+  // segments (the natural shard unit, docs/STORAGE.md). Every row must be
+  // examined, so the scan plan is unpruned. Each shard writes only its own
+  // rows' slots, so the plan is identical at every thread count.
+  std::vector<Placement> plans(cubes_.size());
   for (size_t i = 0; i < cubes_.size(); ++i) {
-    CubePlan& plan = plans[i];
-    plan.target.resize(snapshot[i]);
-    plan.rolled.resize(snapshot[i] * ndims);
+    Placement& plan = plans[i];
     const Subcube& cube = *cubes_[i];
+    const size_t rows = cube.table.num_rows();
+    plan.target.resize(rows);
+    plan.rolled.resize(rows * ndims);
     scan::ScanPlan splan = scan::PlanTableScan(cube.table, scan::ScanSpec::All());
-    plan.shard_error.assign(splan.units.size(), Status::OK());
+    plan.segments = splan.segments_total;
+    std::vector<Status> shard_error(splan.units.size(), Status::OK());
     scan::Execute(splan, [&](size_t si, size_t begin, size_t end) {
-      // Cooperative abort point, polled per shard while the pass is still
-      // read-only (before bump.Arm() below): cancelling any plan shard
-      // abandons the whole pass with nothing mutated.
-      plan.shard_error[si] = runtime::PollCancel("cancel.sync.plan");
-      if (!plan.shard_error[si].ok()) return;
+      // Cooperative abort point, polled per shard: the plan is read-only,
+      // so cancelling any shard abandons the caller with nothing mutated.
+      shard_error[si] = runtime::PollCancel(poll_site);
+      if (!shard_error[si].ok()) return;
       std::vector<ValueId> row_cell(ndims);
       bool failed = false;
       // Decides one row given its gathered cell and its batch-precomputed
@@ -413,7 +371,7 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
         auto target_r =
             ResponsibleCubeWith(row_cell, now_day, &progs, action_w);
         if (!target_r.ok()) {
-          plan.shard_error[si] = target_r.status();
+          shard_error[si] = target_r.status();
           failed = true;
           return;
         }
@@ -422,14 +380,14 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
         if (target == i || target == kDeletedCell) return;
         auto rolled_r = RollCell(row_cell, cubes_[target]->granularity);
         if (!rolled_r.ok()) {
-          plan.shard_error[si] = rolled_r.status();
+          shard_error[si] = rolled_r.status();
           failed = true;
           return;
         }
         std::copy(rolled_r.value().begin(), rolled_r.value().end(),
                   plan.rolled.begin() + r * ndims);
       };
-      // Vectorized migration planning: every compiled action predicate runs
+      // Vectorized planning: every compiled action predicate runs
       // chunk-at-a-time over the segment columns; the per-row LUB walk then
       // consumes the precomputed lanes.
       const size_t nact = progs.size();
@@ -460,19 +418,54 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
             }
           });
     });
-    // Lowest shard's error is the globally first failing row's error. Unlike
-    // the serial formulation, a failed pass mutates nothing: every abort
-    // return sits in the read-only plan phase, before bump.Arm().
-    for (const Status& s : plan.shard_error) {
-      if (!s.ok()) return op.Fail(runtime::CountAbort(s));
+    // Lowest shard's error is the globally first failing row's error.
+    for (const Status& st : shard_error) {
+      if (!st.ok()) return st;
     }
-    Status charged = runtime::CurrentOpContext().ChargeRows(
-        static_cast<int64_t>(snapshot[i]));
+  }
+  return plans;
+}
+
+Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
+                                           obs::OpProfile* profile) {
+  auto& registry = obs::MetricsRegistry::Global();
+  static obs::Histogram& sync_latency = registry.GetHistogram(
+      "dwred_subcube_sync_seconds", obs::DefaultLatencyBuckets(),
+      "wall time of one subcube synchronization pass (Section 7.2)");
+  obs::Op op("subcube.sync", sync_latency, profile);
+  obs::OpProfile* prof = op.profile();
+  if (prof != nullptr) {
+    prof->now_day = now_day;
+    prof->parallel = true;  // plan fans out over the pool; apply is serial
+    prof->fan_out = static_cast<int64_t>(cubes_.size());
+  }
+
+  // Writers are exclusive: no query may observe a half-migrated manifest.
+  std::unique_lock<std::shared_mutex> snapshot_lock(cache_->snapshot_mutex());
+  EpochBumpGuard bump(*cache_);
+  if (prof != nullptr) prof->epoch = cache_->epoch();
+
+  if (prof != nullptr) prof->compiled = spec_.size() > 0;
+
+  // --- Parallel plan, serial apply (docs/PARALLELISM.md) ------------------
+  // The plan is read-only, and every abort return sits in it or in the row
+  // charge below — before bump.Arm() — so a failed pass mutates nothing. The
+  // mutations (appends, erases, counters) then replay serially in the
+  // original (cube, row) order, so the resulting tables — and the WAL intent
+  // stream recorded around this pass — are byte-identical at every thread
+  // count.
+  auto plans_r = PlanPlacement(now_day, "cancel.sync.plan");
+  if (!plans_r.ok()) return op.Fail(runtime::CountAbort(plans_r.status()));
+  const std::vector<Placement> plans = plans_r.take();
+  for (size_t i = 0; i < cubes_.size(); ++i) {
+    const size_t rows = plans[i].target.size();
+    Status charged =
+        runtime::CurrentOpContext().ChargeRows(static_cast<int64_t>(rows));
     if (!charged.ok()) return op.Fail(runtime::CountAbort(std::move(charged)));
     if (prof != nullptr) {
-      prof->rows_scanned += static_cast<int64_t>(snapshot[i]);
-      prof->segments_total += static_cast<int64_t>(splan.segments_total);
-      prof->segments_scanned += static_cast<int64_t>(splan.segments_total);
+      prof->rows_scanned += static_cast<int64_t>(rows);
+      prof->segments_total += static_cast<int64_t>(plans[i].segments);
+      prof->segments_scanned += static_cast<int64_t>(plans[i].segments);
     }
   }
   op.Stage("plan");
@@ -480,15 +473,23 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
   // The apply phase mutates tables; from here on the caches must be dropped
   // even if a later step fails.
   bump.Arm();
+  const size_t ndims = dims_.size();
+  const size_t nmeas = measures_.size();
+  std::vector<ValueId> cell(ndims);
+  std::vector<int64_t> meas(nmeas);
+  size_t migrated = 0;
+  size_t deleted = 0;
+  size_t compacted = 0;
   std::vector<bool> received(cubes_.size(), false);
   for (size_t i = 0; i < cubes_.size(); ++i) {
     Subcube& cube = *cubes_[i];
-    const CubePlan& plan = plans[i];
+    const Placement& plan = plans[i];
     std::vector<bool> erase(cube.table.num_rows(), false);
-    // Cursor scan over the pre-pass rows (appends from earlier cubes sit in
-    // the tail, past snapshot[i]); only *other* cubes' tables are mutated.
+    // Cursor scan over the planned rows (appends from earlier cubes sit in
+    // the tail, already in their responsible cube); only *other* cubes'
+    // tables are mutated.
     cube.table.ForEachRow(
-        0, snapshot[i], [&](RowId r, const FactTable::RowRef& row) {
+        0, plan.target.size(), [&](RowId r, const FactTable::RowRef& row) {
           size_t target = plan.target[r];
           if (target == i) return;
           if (target == kDeletedCell) {
@@ -513,6 +514,8 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
   op.Stage("apply");
   // Cells that received data from several places are aggregated one final
   // time (Section 7.2).
+  std::vector<AggFn> aggs;
+  for (const auto& m : measures_) aggs.push_back(m.agg);
   for (size_t i = 0; i < cubes_.size(); ++i) {
     if (!received[i]) continue;
     DWRED_ASSIGN_OR_RETURN(size_t folded, cubes_[i]->table.CompactCells(aggs));
@@ -566,29 +569,75 @@ std::shared_ptr<const vm::RollupProgram> SubcubeManager::CompileRollup(
   return roll;
 }
 
+Result<std::vector<FactTable>> SubcubeManager::ResponsibleInputs(
+    const std::vector<Placement>& placement) const {
+  const size_t ndims = dims_.size();
+  const size_t nmeas = measures_.size();
+  // One plain segment each: an input is scanned once, so sealing would
+  // encode its columns for nothing (pruning then decides per cube). Like
+  // every live FactTable, the inputs count in the dwred_storage_* gauges
+  // until the query drops them.
+  std::vector<FactTable> inputs;
+  for (size_t i = 0; i < cubes_.size(); ++i) {
+    inputs.emplace_back(ndims, nmeas, FactTable::kMaxSegmentRows);
+  }
+  std::vector<ValueId> cell(ndims);
+  std::vector<int64_t> meas(nmeas);
+  // Every cube's staying rows first, then the migrating rows of each cube in
+  // cube order at their target's granularity: per target, exactly the row
+  // order Synchronize's apply phase would leave the cube in.
+  for (bool staying : {true, false}) {
+    for (size_t p = 0; p < cubes_.size(); ++p) {
+      const std::vector<size_t>& target = placement[p].target;
+      const std::vector<ValueId>& rolled = placement[p].rolled;
+      cubes_[p]->table.ForEachBatch(
+          0, target.size(), [&](const FactTable::BatchView& b) {
+            for (size_t k = 0; k < b.rows(); ++k) {
+              const RowId r = b.first_row() + k;
+              const size_t t = target[r];
+              if (t == kDeletedCell || (t == p) != staying) continue;
+              for (size_t d = 0; d < ndims; ++d) {
+                cell[d] = staying ? b.dim_col(d)[k] : rolled[r * ndims + d];
+              }
+              for (size_t m = 0; m < nmeas; ++m) meas[m] = b.meas_col(m)[k];
+              inputs[t].Append(cell, meas);
+            }
+          });
+    }
+  }
+  // α[G_i]: every row already sits at its cube's granularity, so the
+  // pre-aggregation folds equal cells into their first occurrence.
+  std::vector<AggFn> aggs;
+  for (const auto& m : measures_) aggs.push_back(m.agg);
+  for (FactTable& input : inputs) {
+    DWRED_RETURN_IF_ERROR(input.CompactCells(aggs).status());
+  }
+  return inputs;
+}
+
 Result<std::vector<MultidimensionalObject>>
 SubcubeManager::QuerySubresultsLocked(
     const PredExpr* pred, const std::vector<CategoryId>* target,
     int64_t now_day, bool assume_synchronized, bool parallel, obs::Op* op,
     std::shared_ptr<const vm::RollupProgram> rollup) const {
   obs::OpProfile* profile = op != nullptr ? op->profile() : nullptr;
-  // On the synchronized path every row already sits in its responsible cube,
-  // so the selection predicate can prune whole storage segments via zone
-  // maps before materialization: pruned segments hold only rows whose
+  // The selection predicate prunes whole storage segments via zone maps
+  // before any column is decoded: pruned segments hold only rows whose
   // selection weight is 0 under every approach (the spec compiles against
   // the *liberal* may-match oracle, which dominates conservative and
-  // weighted), so Select would drop them anyway and the query result is
-  // byte-identical. The unsynchronized path pre-aggregates ancestor rows
-  // before its Select runs — dropping rows there would change aggregated
-  // cells — so it scans everything.
+  // weighted), so the scan would drop them anyway and the query result is
+  // byte-identical. Figure 9's source is pre-aggregated to the cube's
+  // granularity before it is scanned, so pruning it is sound too.
   //
   // Compilation enumerates every value of each constrained dimension through
   // the liberal oracle — linear in dimension extent — so compiled specs are
   // cached per (predicate, NOW day, epoch); a hit skips the enumeration and
-  // is byte-identical because nothing else feeds the compilation.
-  const bool prune = assume_synchronized && pred != nullptr;
+  // is byte-identical because nothing else feeds the compilation. A freshly
+  // compiled spec is cached only once the fan-out succeeds, so an aborted
+  // query leaves the ScanSpec cache as it found it.
   scan::ScanSpec scan_spec = scan::ScanSpec::All();
-  if (prune) {
+  std::string new_skey;
+  if (pred != nullptr) {
     const std::string skey =
         cache::ScanSpecFingerprint(ctx_, *pred, now_day, cache_->epoch());
     if (std::shared_ptr<const scan::ScanSpec> hit =
@@ -597,15 +646,14 @@ SubcubeManager::QuerySubresultsLocked(
     } else {
       scan_spec =
           scan::ScanSpec::Compile(ctx_, *pred, now_day, LiberalScanOracle(now_day));
-      cache_->InsertScanSpec(skey, scan_spec);
+      new_skey = skey;
     }
   }
 
   // The predicate compiled to bytecode (src/vm, docs/COMPILATION.md) under
-  // the conservative approach the per-cube Select uses, cached per
-  // (approach, predicate, NOW day, epoch) like the ScanSpec. Null — per-row
-  // tree interpretation, byte-identical — when the compiler rejects the
-  // predicate.
+  // the conservative approach, cached per (approach, predicate, NOW day,
+  // epoch) like the ScanSpec. Null — per-row tree interpretation,
+  // byte-identical — when the compiler rejects the predicate.
   std::shared_ptr<const vm::PredProgram> prog;
   if (pred != nullptr) {
     const std::string vkey = cache::ProgramFingerprint(
@@ -626,13 +674,21 @@ SubcubeManager::QuerySubresultsLocked(
   // by every per-cube aggregate formation (Query also reuses them for the
   // final combining aggregation).
   if (target != nullptr && rollup == nullptr) rollup = CompileRollup(*target);
-  // The unsynchronized rewrite filters every unioned row through the
-  // specification's action predicates — compile those once per query too.
-  SpecPrograms spec_progs;
-  if (!assume_synchronized) spec_progs = CompileSpecPrograms(now_day);
-  if (profile != nullptr) {
-    profile->compiled = prog != nullptr || !spec_progs.empty();
+  // Figure 9's sources, once per query: Synchronize's placement plan is
+  // σ[P_i] for every cube at once, and each cube's share of it,
+  // pre-aggregated to G_i, replaces the stored cube. They are built before
+  // the fan-out, in one pass over each stored cube.
+  // The plan runs the specification's compiled action programs.
+  std::vector<Placement> placement;
+  std::vector<FactTable> inputs;
+  bool compiled = prog != nullptr;
+  if (!assume_synchronized) {
+    DWRED_ASSIGN_OR_RETURN(placement,
+                           PlanPlacement(now_day, "cancel.query.subcube"));
+    DWRED_ASSIGN_OR_RETURN(inputs, ResponsibleInputs(placement));
+    compiled = compiled || spec_.size() > 0;
   }
+  if (profile != nullptr) profile->compiled = compiled;
 
   if (op != nullptr) op->Stage("plan");
   if (profile != nullptr) {
@@ -641,8 +697,8 @@ SubcubeManager::QuerySubresultsLocked(
   }
 
   // One evaluation per subcube; in parallel mode the evaluations fan out
-  // over the process-wide pool (only shared *reads*: dimensions, spec,
-  // sibling tables, the compiled scan spec).
+  // over the process-wide pool (only shared *reads*: dimensions, the stored
+  // cubes or Figure 9's inputs, the compiled scan spec and programs).
   auto eval_one = [&](size_t i) -> Result<MultidimensionalObject> {
     // Cooperative abort point, polled once per subcube before its rows are
     // touched; the cube's full row count is charged against the query's row
@@ -665,132 +721,47 @@ SubcubeManager::QuerySubresultsLocked(
                 subquery_latency, sc);
     sub.AddField("cube", static_cast<int64_t>(i));
 
-    const size_t ndims = dims_.size();
-    std::vector<ValueId> cell(ndims);
-    bool selected = false;
-    bool aggregated = false;
-    MultidimensionalObject base(fact_type_, dims_, measures_);
-    if (prune) {
-      scan::ScanPlan plan = scan::PlanTableScan(cube.table, scan_spec);
-      if (sc != nullptr) {
-        sc->segments_total = static_cast<int64_t>(plan.segments_total);
-        sc->segments_pruned = static_cast<int64_t>(plan.segments_pruned);
-        sc->segments_scanned = static_cast<int64_t>(plan.segments_total -
-                                                    plan.segments_pruned);
-        sc->rows_skipped = static_cast<int64_t>(plan.rows_skipped);
+    // The source: the stored cube, or Figure 9's pre-aggregated input.
+    const FactTable& source = inputs.empty() ? cube.table : inputs[i];
+    scan::ScanPlan plan = scan::PlanTableScan(source, scan_spec);
+    if (sc != nullptr) {
+      sc->name = cube.name;
+      sc->segments_total = static_cast<int64_t>(plan.segments_total);
+      sc->segments_pruned = static_cast<int64_t>(plan.segments_pruned);
+      sc->segments_scanned =
+          static_cast<int64_t>(plan.segments_total - plan.segments_pruned);
+      sc->rows_skipped = static_cast<int64_t>(plan.rows_skipped);
+      if (!inputs.empty()) {
+        // The placement plan read every stored row of the cube; its
+        // segments join the input's in the slice (both moved the
+        // dwred_scan_* counters).
+        sc->rows_scanned = static_cast<int64_t>(cube.table.num_rows());
+        sc->segments_total += static_cast<int64_t>(placement[i].segments);
+        sc->segments_scanned += static_cast<int64_t>(placement[i].segments);
+      } else {
         for (const exec::Shard& u : plan.units) {
           sc->rows_scanned += static_cast<int64_t>(u.end - u.begin);
         }
       }
-      if (prog != nullptr && target != nullptr && assume_synchronized) {
-        // Fully fused σ→α: weights off the storage segments through the
-        // compiled program, each surviving row folded into its output group
-        // directly — no intermediate selection MO at all. Byte-identical to
-        // the two-operator pipeline below (operators.h: AggregateFromScan).
-        // Only the synchronized path fuses: Figure 9's rewrite needs the
-        // un-aggregated selection first.
-        DWRED_ASSIGN_OR_RETURN(
-            base, AggregateFromScan(cube.table, plan, *pred, now_day,
-                                    SelectionApproach::kConservative,
-                                    fact_type_, dims_, measures_, *target,
-                                    prog, rollup));
-        selected = true;
-        aggregated = true;
-      } else if (prog != nullptr) {
-        // Fused scan-and-select: σ[pred] evaluated straight off the storage
-        // segments through the compiled program, skipping the MaterializeMO
-        // copy. Byte-identical to the two-step pipeline below
-        // (operators.h: SelectFromScan).
-        DWRED_ASSIGN_OR_RETURN(
-            SelectionResult sel,
-            SelectFromScan(cube.table, plan, *pred, now_day,
-                           SelectionApproach::kConservative, fact_type_,
-                           dims_, measures_, prog,
-                           /*materialize_names=*/target == nullptr));
-        base = std::move(sel.mo);
-        selected = true;
-      } else {
-        base = scan::MaterializeMO(cube.table, plan, fact_type_, dims_,
-                                   measures_);
-      }
-    } else {
-      // Unpruned path: no scan plan, hence no counter movement to attribute;
-      // only the rows read are reported.
-      if (sc != nullptr) {
-        sc->rows_scanned = static_cast<int64_t>(cube.table.num_rows());
-      }
-      base = cube.table.ToMO(fact_type_, dims_, measures_);
     }
-    if (sc != nullptr) sc->name = cube.name;
     sub.Stage("scan");
-    if (!assume_synchronized) {
-      // Figure 9: evaluate on α[G_i]σ[P_i](K_i ∪ parents) — pull un-migrated
-      // facts from ancestor cubes, keep only the facts this cube is
-      // currently responsible for, pre-aggregate to the cube's granularity.
-      // The paper pulls from immediate parents under its
-      // one-level-out-of-sync assumption (Section 7.2); pulling from every
-      // strictly-lower cube generalizes that to arbitrarily stale
-      // warehouses (facts can leapfrog a tier whose window slid past
-      // between synchronizations).
-      std::vector<size_t> ancestors;
-      for (size_t p = 0; p < cubes_.size(); ++p) {
-        if (p == i) continue;
-        const auto& gp = cubes_[p]->granularity;
-        if (GranularityLeq(ctx_, gp, cube.granularity) &&
-            gp != cube.granularity) {
-          ancestors.push_back(p);
-        }
-      }
-      MultidimensionalObject unioned(fact_type_, dims_, measures_);
-      unioned = std::move(base);
-      for (size_t p : ancestors) {
-        MultidimensionalObject pm =
-            cubes_[p]->table.ToMO(fact_type_, dims_, measures_);
-        for (FactId f = 0; f < pm.num_facts(); ++f) {
-          for (size_t d = 0; d < ndims; ++d) {
-            cell[d] = pm.Coord(f, static_cast<DimensionId>(d));
-          }
-          std::vector<int64_t> meas(measures_.size());
-          for (size_t m = 0; m < measures_.size(); ++m) {
-            meas[m] = pm.Measure(f, static_cast<MeasureId>(m));
-          }
-          auto res = unioned.AddFact(cell, meas);
-          if (!res.ok()) return res.status();
-        }
-      }
-      // σ[P_i]: current responsibility filter.
-      MultidimensionalObject filtered(fact_type_, dims_, measures_);
-      for (FactId f = 0; f < unioned.num_facts(); ++f) {
-        for (size_t d = 0; d < ndims; ++d) {
-          cell[d] = unioned.Coord(f, static_cast<DimensionId>(d));
-        }
-        DWRED_ASSIGN_OR_RETURN(
-            size_t resp, ResponsibleCubeWith(cell, now_day, &spec_progs));
-        if (resp != i) continue;
-        std::vector<int64_t> meas(measures_.size());
-        for (size_t m = 0; m < measures_.size(); ++m) {
-          meas[m] = unioned.Measure(f, static_cast<MeasureId>(m));
-        }
-        auto res = filtered.AddFact(cell, meas);
-        if (!res.ok()) return res.status();
-      }
-      // α[G_i].
+    // σ→α fused (operators.h: AggregateFromScan), or σ alone: weights off
+    // the storage segments through the compiled program, surviving rows
+    // folded into their output groups (or emitted under their logical-row
+    // names). A null predicate weighs every row 1.
+    MultidimensionalObject base(fact_type_, dims_, measures_);
+    if (target != nullptr) {
       DWRED_ASSIGN_OR_RETURN(
-          base, AggregateFormation(filtered, cube.granularity,
-                                   AggregationApproach::kAvailability,
-                                   /*track_provenance=*/false));
-    }
-    if (pred && !selected) {
+          base, AggregateFromScan(source, plan, pred, now_day,
+                                  SelectionApproach::kConservative, fact_type_,
+                                  dims_, measures_, *target, prog, rollup));
+    } else {
       DWRED_ASSIGN_OR_RETURN(
           SelectionResult sel,
-          Select(base, *pred, now_day, SelectionApproach::kConservative, prog));
+          SelectFromScan(source, plan, pred, now_day,
+                         SelectionApproach::kConservative, fact_type_, dims_,
+                         measures_, prog));
       base = std::move(sel.mo);
-    }
-    if (target && !aggregated) {
-      DWRED_ASSIGN_OR_RETURN(
-          base, AggregateFormation(base, *target,
-                                   AggregationApproach::kAvailability,
-                                   /*track_provenance=*/false, rollup));
     }
     sub.Stage("aggregate");
     if (sc != nullptr) sc->result_facts = static_cast<int64_t>(base.num_facts());
@@ -815,24 +786,23 @@ SubcubeManager::QuerySubresultsLocked(
       DWRED_ASSIGN_OR_RETURN(MultidimensionalObject sub, eval_one(i));
       subresults.push_back(std::move(sub));
     }
-    fold_profile();
-    return subresults;
+  } else {
+    // One pool shard per subcube. The nested ParallelFor calls inside the
+    // scans are safe: the pool's caller participation keeps nested
+    // operations deadlock-free. Results land in per-cube slots and are
+    // collected in cube order — identical at every thread count.
+    std::vector<std::optional<Result<MultidimensionalObject>>> slots(
+        cubes_.size());
+    exec::ThreadPool::Global().ParallelFor(
+        cubes_.size(), /*grain=*/1, [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) slots[i].emplace(eval_one(i));
+        });
+    for (size_t i = 0; i < cubes_.size(); ++i) {
+      if (!slots[i]->ok()) return slots[i]->status();
+      subresults.push_back(std::move(slots[i]->value()));
+    }
   }
-
-  // One pool shard per subcube. The nested ParallelFor calls inside
-  // Select/AggregateFormation are safe: the pool's caller participation
-  // keeps nested operations deadlock-free. Results land in per-cube slots
-  // and are collected in cube order — identical at every thread count.
-  std::vector<std::optional<Result<MultidimensionalObject>>> slots(
-      cubes_.size());
-  exec::ThreadPool::Global().ParallelFor(
-      cubes_.size(), /*grain=*/1, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) slots[i].emplace(eval_one(i));
-      });
-  for (size_t i = 0; i < cubes_.size(); ++i) {
-    if (!slots[i]->ok()) return slots[i]->status();
-    subresults.push_back(std::move(slots[i]->value()));
-  }
+  if (!new_skey.empty()) cache_->InsertScanSpec(new_skey, scan_spec);
   fold_profile();
   return subresults;
 }

@@ -19,9 +19,11 @@
 // subresults combined with one final availability-approach aggregation —
 // sound because default aggregate functions are distributive. In the
 // un-synchronized state, each subcube's subquery is evaluated on
-// α[G_i]σ[P_i](K_i ∪ parents): the cube's own rows plus its immediate
-// parents' rows, filtered to the facts the cube is *currently* responsible
-// for, aggregated to the cube's granularity.
+// α[G_i]σ[P_i](K_i ∪ ancestors): the cube's own rows plus its lower cubes'
+// rows, filtered to the facts the cube is *currently* responsible for,
+// aggregated to the cube's granularity. σ[P_i] is Synchronize's own
+// placement plan, computed once per query; the pre-aggregated input then
+// runs through the same pruned σ→α scan as a synchronized cube.
 
 #include <memory>
 #include <string>
@@ -100,9 +102,9 @@ class SubcubeManager {
 
   /// One compiled 0/1 program per specification action (src/vm). Slots
   /// whose predicate the compiler rejects are null — those actions interpret
-  /// per row. The hot
-  /// responsibility passes (Synchronize, ChangeSpecification, the
-  /// unsynchronized query rewrite) compile once and reuse across every row.
+  /// per row. The hot responsibility passes (the placement plan behind
+  /// Synchronize and the unsynchronized query, ChangeSpecification) compile
+  /// once and reuse across every row.
   using SpecPrograms = std::vector<std::shared_ptr<const vm::PredProgram>>;
   SpecPrograms CompileSpecPrograms(int64_t now_day) const;
 
@@ -127,8 +129,9 @@ class SubcubeManager {
   /// combining per-cube subresults with a final availability aggregation.
   /// `pred` may be null (no selection); `target` may be null (no aggregate
   /// formation). With `assume_synchronized` the per-cube rewrite of Figure 9
-  /// (pull un-migrated rows from immediate parents, filter by current
-  /// responsibility, pre-aggregate to the cube's granularity) is skipped.
+  /// (take the rows Synchronize would place in the cube — un-migrated rows
+  /// from lower cubes included — and pre-aggregate them to the cube's
+  /// granularity) is skipped.
   /// With `parallel`, subcubes are evaluated on one thread each — Section
   /// 7.3's "separately and in parallel"; sound because per-cube evaluation
   /// only reads shared state and the final combine is a single-threaded
@@ -197,6 +200,29 @@ class SubcubeManager {
                                      const SpecPrograms* progs,
                                      const double* action_w = nullptr) const;
 
+  /// Where one cube's rows belong under the specification at a NOW day: the
+  /// read-only plan phase of Synchronize (Section 7.2), which the
+  /// unsynchronized query reuses for Figure 9's σ[P_i].
+  struct Placement {
+    std::vector<size_t> target;   ///< per row; the cube's own index = stays
+    std::vector<ValueId> rolled;  ///< row-major cells at the target cube's
+                                  ///< granularity, set for migrating rows
+    size_t segments = 0;          ///< storage segments the plan scanned
+  };
+
+  /// Plans every cube's rows (ResponsibleCube + RollCell over the batch
+  /// spec-program kernel), shard-parallel and read-only; polls `poll_site`
+  /// once per shard. The first failing row's error aborts the plan.
+  Result<std::vector<Placement>> PlanPlacement(int64_t now_day,
+                                               const char* poll_site) const;
+
+  /// Figure 9's input per cube: the rows the placement assigns to it — its
+  /// own first, then every other cube's rolled rows in cube order —
+  /// pre-aggregated to its granularity (first occurrence of each cell kept,
+  /// exactly the order Synchronize would leave the cube in).
+  Result<std::vector<FactTable>> ResponsibleInputs(
+      const std::vector<Placement>& placement) const;
+
   /// The rollup tables for one target granularity, compiled once and cached
   /// per (granularity, epoch) in the program LRU. Null when a dimension is
   /// too large to enumerate (per-fact walks instead).
@@ -205,6 +231,9 @@ class SubcubeManager {
 
   /// QuerySubresults body; the caller must hold the shared snapshot lock
   /// (the lock is not recursive, so Query cannot call the public wrapper).
+  /// Every cube runs one pipeline — source table → pruned scan plan → fused
+  /// σ→α (or σ alone without a target) — whose source is the stored cube
+  /// when synchronized and its ResponsibleInputs table otherwise.
   /// `rollup` optionally shares the query's target-granularity rollup tables
   /// with every per-cube aggregation (compiled here when null and needed).
   /// Under a query's `op` the planning lap becomes its "plan" stage and each

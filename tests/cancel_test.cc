@@ -16,6 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include "cache/cache.h"
+#include "chrono/civil.h"
 #include "exec/thread_pool.h"
 #include "mdm/paper_example.h"
 #include "obs/metrics.h"
@@ -363,6 +365,104 @@ TEST_F(CancelTest, RetryStopsBackingOffWhenContextCancelled) {
       "unit op");
   EXPECT_EQ(s.code(), StatusCode::kCancelled);
   EXPECT_EQ(calls, 1);  // cancelled between attempt 1 and 2
+}
+
+// --- Figure 9 row accounting -------------------------------------------------
+
+/// The paper-example warehouse with {a1, a2}, synchronized at 2000/6/5 so
+/// its rows sit in several subcubes, and a query NOW five months later that
+/// leaves it out of sync (Figure 9).
+std::unique_ptr<SubcubeManager> StaleWarehouse(const IspExample& ex) {
+  ReductionSpecification spec;
+  spec.Add(ParseAction(*ex.mo, paper::kA1, "a1").take());
+  spec.Add(ParseAction(*ex.mo, paper::kA2, "a2").take());
+  auto m = SubcubeManager::Create(
+      "Click", ex.mo->dimensions(),
+      {ex.mo->measure_type(0), ex.mo->measure_type(1), ex.mo->measure_type(2),
+       ex.mo->measure_type(3)},
+      std::move(spec));
+  if (!m.ok()) return nullptr;
+  auto mgr = std::make_unique<SubcubeManager>(m.take());
+  if (!mgr->InsertBottomFacts(*ex.mo).ok()) return nullptr;
+  if (!mgr->Synchronize(DaysFromCivil({2000, 6, 5})).ok()) return nullptr;
+  return mgr;
+}
+
+// An unsynchronized query charges every stored row to the row budget exactly
+// once — its placement plan reads them all, and each subcube is charged its
+// own rows — so a budget of the stored total passes and one row less aborts
+// with kResourceExhausted before any cache entry or epoch moves.
+TEST_F(CancelTest, Figure9QueryChargesEveryStoredRowOnce) {
+  IspExample ex = MakeIspExample();
+  auto pred = ParsePredicate(*ex.mo, "URL.domain_grp = .com").take();
+  auto gran = ParseGranularityList(*ex.mo, "Time.month, URL.domain").take();
+  const int64_t now = DaysFromCivil({2000, 11, 5});
+  for (bool parallel : {false, true}) {
+    exec::ThreadPool::ResetGlobal(parallel ? 4 : 1);
+    std::unique_ptr<SubcubeManager> mgr = StaleWarehouse(ex);
+    ASSERT_NE(mgr, nullptr);
+    int64_t total = 0;
+    size_t cubes_with_rows = 0;
+    for (size_t i = 0; i < mgr->num_subcubes(); ++i) {
+      total += static_cast<int64_t>(mgr->subcube(i).table.num_rows());
+      cubes_with_rows += mgr->subcube(i).table.num_rows() > 0 ? 1 : 0;
+    }
+    ASSERT_GT(cubes_with_rows, 1u) << "the warehouse must span subcubes";
+
+    const cache::WarehouseCache::Stats before =
+        mgr->warehouse_cache().GetStats();
+    {
+      runtime::OpContext ctx;
+      ctx.SetMaxRows(total - 1);
+      runtime::ScopedOpContext scope(ctx);
+      auto r = mgr->Query(pred.get(), &gran, now,
+                          /*assume_synchronized=*/false, parallel);
+      EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+          << r.status().ToString();
+    }
+    // Compiled programs are retained across aborts by design (cache.h);
+    // everything else is as the query found it.
+    const cache::WarehouseCache::Stats after =
+        mgr->warehouse_cache().GetStats();
+    EXPECT_EQ(after.epoch, before.epoch);
+    EXPECT_EQ(after.query_entries, before.query_entries);
+    EXPECT_EQ(after.scanspec_entries, before.scanspec_entries);
+    EXPECT_EQ(after.bytes - after.program_bytes,
+              before.bytes - before.program_bytes);
+
+    runtime::OpContext ctx;
+    ctx.SetMaxRows(total);
+    runtime::ScopedOpContext scope(ctx);
+    auto r = mgr->Query(pred.get(), &gran, now,
+                        /*assume_synchronized=*/false, parallel);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(ctx.rows_charged(), total) << "parallel=" << parallel;
+  }
+  exec::ThreadPool::ResetGlobal(2);
+}
+
+// A synchronized query with a predicate compiles its ScanSpec before the
+// fan-out; an abort during the fan-out must not leave it cached (the
+// clean-abort contract covers the ScanSpec cache, docs/ROBUSTNESS.md), and
+// the completed rerun caches it.
+TEST_F(CancelTest, AbortedQueryLeavesScanSpecCacheUntouched) {
+  IspExample ex = MakeIspExample();
+  std::unique_ptr<SubcubeManager> mgr = StaleWarehouse(ex);
+  ASSERT_NE(mgr, nullptr);
+  auto pred = ParsePredicate(*ex.mo, "URL.domain_grp = .com").take();
+  const int64_t now = DaysFromCivil({2000, 6, 5});
+  const size_t before = mgr->warehouse_cache().GetStats().scanspec_entries;
+  {
+    runtime::OpContext ctx;
+    ctx.SetMaxRows(1);
+    runtime::ScopedOpContext scope(ctx);
+    auto r = mgr->Query(pred.get(), nullptr, now, /*assume_synchronized=*/true);
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  }
+  EXPECT_EQ(mgr->warehouse_cache().GetStats().scanspec_entries, before);
+  ASSERT_TRUE(
+      mgr->Query(pred.get(), nullptr, now, /*assume_synchronized=*/true).ok());
+  EXPECT_EQ(mgr->warehouse_cache().GetStats().scanspec_entries, before + 1);
 }
 
 // --- Oversubscription torture ----------------------------------------------

@@ -178,6 +178,71 @@ TEST_F(ProfileTest, ExplainMatchesScanCounterDeltasOnPrunedPath) {
   EXPECT_EQ(scanned.Value(), scanned1);
 }
 
+// The EXPLAIN profile of an unsynchronized (Figure 9) query: it reads every
+// stored row exactly once, its per-subcube slices fold to the totals, and
+// its segment totals equal the dwred_scan_* counter deltas — serial and
+// parallel.
+TEST_F(ProfileTest, Figure9ExplainCountsEveryStoredRowOnce) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "built with DWRED_OBS_DISABLED";
+  // Each evaluation must run, not hit the result cache.
+  ::setenv("DWRED_CACHE_DISABLED", "1", 1);
+  IspExample ex;
+  std::unique_ptr<SubcubeManager> mgr = MakeWarehouse(&ex);
+  ASSERT_TRUE(mgr->Synchronize(DaysFromCivil({2000, 6, 5})).ok());
+  const int64_t now = DaysFromCivil({2000, 11, 5});
+  int64_t stored = 0;
+  for (size_t i = 0; i < mgr->num_subcubes(); ++i) {
+    stored += static_cast<int64_t>(mgr->subcube(i).table.num_rows());
+  }
+  auto pred = ParsePredicate(*ex.mo, "Time.month <= 1999/11").take();
+  auto gran = ParseGranularityList(*ex.mo, "Time.month, URL.domain").take();
+
+  auto& reg = obs::MetricsRegistry::Global();
+  obs::Counter& scanned = reg.GetCounter("dwred_scan_segments_scanned");
+  obs::Counter& pruned = reg.GetCounter("dwred_scan_segments_pruned");
+  obs::Counter& skipped = reg.GetCounter("dwred_scan_rows_skipped");
+  exec::ThreadPool::ResetGlobal(4);
+  for (bool parallel : {false, true}) {
+    const uint64_t scanned0 = scanned.Value();
+    const uint64_t pruned0 = pruned.Value();
+    const uint64_t skipped0 = skipped.Value();
+    obs::OpProfile profile;
+    auto r = mgr->Query(pred.get(), &gran, now, /*assume_synchronized=*/false,
+                        parallel, nullptr, &profile);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(profile.assume_synchronized);
+    EXPECT_EQ(profile.rows_scanned, stored) << "parallel=" << parallel;
+    EXPECT_EQ(static_cast<uint64_t>(profile.segments_scanned),
+              scanned.Value() - scanned0);
+    EXPECT_EQ(static_cast<uint64_t>(profile.segments_pruned),
+              pruned.Value() - pruned0);
+    EXPECT_EQ(static_cast<uint64_t>(profile.rows_skipped),
+              skipped.Value() - skipped0);
+    EXPECT_EQ(profile.segments_total,
+              profile.segments_scanned + profile.segments_pruned);
+
+    ASSERT_EQ(profile.subcubes.size(), mgr->num_subcubes());
+    int64_t sum_total = 0, sum_scanned = 0, sum_pruned = 0, sum_skipped = 0,
+            sum_rows = 0;
+    for (size_t i = 0; i < profile.subcubes.size(); ++i) {
+      const obs::SubcubeProfile& sc = profile.subcubes[i];
+      EXPECT_EQ(sc.name, mgr->subcube(i).name);
+      EXPECT_EQ(sc.rows_scanned,
+                static_cast<int64_t>(mgr->subcube(i).table.num_rows()));
+      sum_total += sc.segments_total;
+      sum_scanned += sc.segments_scanned;
+      sum_pruned += sc.segments_pruned;
+      sum_skipped += sc.rows_skipped;
+      sum_rows += sc.rows_scanned;
+    }
+    EXPECT_EQ(sum_total, profile.segments_total);
+    EXPECT_EQ(sum_scanned, profile.segments_scanned);
+    EXPECT_EQ(sum_pruned, profile.segments_pruned);
+    EXPECT_EQ(sum_skipped, profile.rows_skipped);
+    EXPECT_EQ(sum_rows, profile.rows_scanned);
+  }
+}
+
 // The spans of one parallel query on an 8-thread pool reconstruct a single
 // rooted tree: every span carries the root's trace_id, every parent chain
 // terminates at the "subcube.query" root, and each subcube contributed its

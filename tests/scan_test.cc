@@ -165,10 +165,11 @@ TEST(ScanPlanTest, PrunedMaterializationMatchesFullSelect) {
     scan::ScanSpec spec = scan::ScanSpec::Compile(*ct.ex.mo, *pred, ct.now,
                                                   LiberalOracle(ct.now));
     scan::ScanPlan plan = scan::PlanTableScan(ct.t, spec);
-    MultidimensionalObject pruned = scan::MaterializeMO(
-        ct.t, plan, "Click", ct.ex.mo->dimensions(), measures);
     SelectionResult got =
-        Select(pruned, *pred, ct.now, SelectionApproach::kConservative).take();
+        SelectFromScan(ct.t, plan, pred.get(), ct.now,
+                       SelectionApproach::kConservative, "Click",
+                       ct.ex.mo->dimensions(), measures)
+            .take();
 
     ASSERT_EQ(got.mo.num_facts(), want.mo.num_facts()) << text;
     for (FactId f = 0; f < want.mo.num_facts(); ++f) {
@@ -227,10 +228,11 @@ TEST(ScanPlanTest, TombstonedZoneExtremesStaySound) {
     scan::ScanSpec spec = scan::ScanSpec::Compile(*ct.ex.mo, *pred, ct.now,
                                                   LiberalOracle(ct.now));
     scan::ScanPlan plan = scan::PlanTableScan(ct.t, spec);
-    MultidimensionalObject pruned = scan::MaterializeMO(
-        ct.t, plan, "Click", ct.ex.mo->dimensions(), measures);
     SelectionResult got =
-        Select(pruned, *pred, ct.now, SelectionApproach::kConservative).take();
+        SelectFromScan(ct.t, plan, pred.get(), ct.now,
+                       SelectionApproach::kConservative, "Click",
+                       ct.ex.mo->dimensions(), measures)
+            .take();
     EXPECT_EQ(got.mo.num_facts(), want.mo.num_facts()) << text;
     if (got.mo.num_facts() == want.mo.num_facts()) {
       for (FactId f = 0; f < want.mo.num_facts(); ++f) {
@@ -284,7 +286,7 @@ TEST(ScanPlanTest, TombstonedZoneExtremesStaySound) {
   }
 }
 
-TEST(ScanPlanTest, MaterializeKeepsLogicalFactNames) {
+TEST(ScanPlanTest, UnfilteredScanKeepsLogicalFactNames) {
   ChronoTable ct;
   auto pred = ParsePredicate(*ct.ex.mo, "Time.day >= 2000/10/1").take();
   scan::ScanSpec spec = scan::ScanSpec::Compile(*ct.ex.mo, *pred, ct.now,
@@ -292,8 +294,13 @@ TEST(ScanPlanTest, MaterializeKeepsLogicalFactNames) {
   scan::ScanPlan plan = scan::PlanTableScan(ct.t, spec);
   ASSERT_GT(plan.segments_pruned, 0u);
   std::vector<MeasureType> measures(ct.ex.mo->measure_types());
-  MultidimensionalObject pruned = scan::MaterializeMO(
-      ct.t, plan, "Click", ct.ex.mo->dimensions(), measures);
+  // A null predicate weighs every planned row 1.
+  MultidimensionalObject pruned =
+      SelectFromScan(ct.t, plan, nullptr, ct.now,
+                     SelectionApproach::kConservative, "Click",
+                     ct.ex.mo->dimensions(), measures)
+          .take()
+          .mo;
   // Fact f of the materialization is logical row units[...]: its name must
   // be the full-scan name "fact_<logical row>".
   FactId f = 0;
@@ -352,10 +359,11 @@ TEST(ScanPlanTest, CompileFallbackEdgesStaySound) {
     SelectionResult want =
         Select(full, pred, ct.now, SelectionApproach::kConservative).take();
     scan::ScanPlan plan = scan::PlanTableScan(ct.t, spec);
-    MultidimensionalObject pruned = scan::MaterializeMO(
-        ct.t, plan, "Click", ct.ex.mo->dimensions(), measures);
     SelectionResult got =
-        Select(pruned, pred, ct.now, SelectionApproach::kConservative).take();
+        SelectFromScan(ct.t, plan, &pred, ct.now,
+                       SelectionApproach::kConservative, "Click",
+                       ct.ex.mo->dimensions(), measures)
+            .take();
     ASSERT_EQ(got.mo.num_facts(), want.mo.num_facts());
     for (FactId f = 0; f < want.mo.num_facts(); ++f) {
       EXPECT_EQ(got.mo.FormatFact(f), want.mo.FormatFact(f));

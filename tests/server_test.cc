@@ -30,6 +30,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <map>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -379,6 +380,59 @@ TEST_F(ServerTest, ConcurrentPipelinedClientsReadIdenticalBytes) {
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(WarehouseCrc(*mgr_), crc_before);
   EXPECT_EQ(mgr_->epoch(), epoch_before);
+}
+
+// One burst of 2,000 pipelined frames in a single write: the session drains
+// them in order — a seeded random mix of pings and two different queries,
+// so a dropped, repeated or reordered frame shows up as a wrong body — and
+// the warehouse is untouched.
+TEST_F(ServerTest, PipelinedBurstIsAnsweredInOrder) {
+  const uint32_t crc_before = WarehouseCrc(*mgr_);
+  Request quarterly = QueryReq();
+  quarterly.b = "Time.quarter, URL.domain_grp";
+  auto pred = ParsePredicate(mgr_->context(), quarterly.a);
+  auto gran = ParseGranularityList(mgr_->context(), quarterly.b);
+  ASSERT_TRUE(pred.ok() && gran.ok());
+  auto q = mgr_->Query(pred.value().get(), &gran.value(), now_day_,
+                       /*assume_synchronized=*/true);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const std::string bodies[] = {
+      "pong", EmbeddedQueryBytes(*mgr_, /*parallel=*/false),
+      RenderResult(q.value())};
+  ASSERT_NE(bodies[1], bodies[2]);
+
+  constexpr size_t kFrames = 2000;
+  std::vector<Request> burst(kFrames);
+  std::vector<size_t> kind(kFrames);
+  std::mt19937 rng(2026);
+  for (size_t i = 0; i < kFrames; ++i) {
+    kind[i] = rng() % 3;
+    if (kind[i] == 1) burst[i] = QueryReq();
+    if (kind[i] == 2) burst[i] = quarterly;
+  }
+  Client c = Connect();
+  // The burst is written from its own thread: the server answers while the
+  // rest of the burst is still arriving, and reading here keeps both
+  // directions' socket buffers draining.
+  Status sent;
+  std::thread writer([&] { sent = c.SendPipelined(burst.data(), kFrames); });
+  size_t wrong = 0;
+  for (size_t i = 0; i < kFrames; ++i) {
+    auto resp = c.Recv();
+    if (!resp.ok()) {
+      // A short read means the session closed, which also fails the writer.
+      ADD_FAILURE() << "frame " << i << ": " << resp.status().ToString();
+      break;
+    }
+    if (resp.value().code != StatusCode::kOk ||
+        resp.value().body != bodies[kind[i]]) {
+      ++wrong;
+    }
+  }
+  writer.join();
+  EXPECT_TRUE(sent.ok()) << sent.ToString();
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_EQ(WarehouseCrc(*mgr_), crc_before);
 }
 
 // A row budget travels in the request and maps to ResourceExhausted over

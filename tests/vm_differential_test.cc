@@ -13,7 +13,9 @@
 //      (synchronized and stale rewrites) at 1 and 8 pool threads equal the
 //      interpreter-only reference (src/testing/reference.h): Definition 2
 //      fact by fact through CellOf/MaxSpecGran, σ through Select with no
-//      program, α by hierarchy walks;
+//      program, α by hierarchy walks — and the unsynchronized (Figure 9)
+//      query renders the same bytes as the warehouse synchronized, or as
+//      the recorded fingerprints where no synchronized twin applies;
 //   3. stale programs — programs compiled before a dimension value was
 //      interned hit their kOutOfRange / unmapped-row fallbacks, and every
 //      operator still returns the interpreter's bytes;
@@ -32,7 +34,9 @@
 #include "chrono/civil.h"
 #include "exec/thread_pool.h"
 #include "io/snapshot.h"
+#include "net/server.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "query/compare.h"
 #include "query/operators.h"
 #include "reduce/semantics.h"
@@ -358,6 +362,109 @@ TEST(VmDifferential, SubcubeResultsEqualReferenceAcrossThreads) {
   exec::ThreadPool::ResetGlobal(2);
 }
 
+/// Fingerprints of every no-target Figure 9 answer (Query and
+/// QuerySubresults, σ-only and unfiltered, three NOW steps) per generated
+/// specification, recorded on commit 16aa727 — the row-at-a-time MO
+/// rewrite (ToMO, AddFact union, per-row responsibility filter,
+/// AggregateFormation to the cube's granularity). These shapes keep each
+/// cube's pre-aggregated cells, so no synchronized twin can stand in for
+/// them.
+struct Figure9Pin {
+  uint64_t seed;
+  bool deletion;
+  uint64_t fingerprint;
+};
+constexpr Figure9Pin kFigure9NoTargetPins[] = {
+    {11, false, 8497036428098849378ull},
+    {11, true, 12423587497323948438ull},
+    {23, false, 1155714749183293297ull},
+    {23, true, 6573984888079352128ull},
+    {37, false, 5112686887882442579ull},
+    {37, true, 10897115110613912910ull},
+    {51, false, 2739600431363250558ull},
+    {51, true, 4524004765628860694ull},
+    {67, false, 5445770736060222988ull},
+    {67, true, 1736339993904503250ull},
+};
+
+// Layer 2c: Figure 9 bytes. Over generated specifications (deletion action
+// on and off) and NOW steps that leave the warehouse one, several and — at
+// start+2000 — a leapfrogged tier out of sync, the unsynchronized query must
+// render exactly what the same warehouse answers synchronized, for every
+// shape with a target (σ→α and α alone); shapes without one are pinned to
+// the recorded fingerprints. Both at 1 and 8 pool threads.
+TEST(VmDifferential, Figure9BytesEqualSynchronizedTwin) {
+  ClickstreamConfig cfg;
+  cfg.seed = 73;
+  cfg.num_domains = 8;
+  cfg.urls_per_domain = 4;
+  cfg.num_clicks = 1500;
+  cfg.span_days = 3 * 365;
+  ClickstreamWorkload w = MakeClickstream(cfg);
+  const int64_t start = DaysFromCivil(cfg.start);
+  auto pred = ParsePredicate(*w.mo, "Time.month >= NOW - 30 months");
+  ASSERT_TRUE(pred.ok()) << pred.status().message();
+  auto target = ParseGranularityList(*w.mo, "Time.month, URL.domain");
+  ASSERT_TRUE(target.ok()) << target.status().message();
+  struct Shape {
+    const PredExpr* pred;
+    const std::vector<CategoryId>* target;
+  };
+  const Shape shapes[] = {{pred.value().get(), &target.value()},
+                          {nullptr, &target.value()},
+                          {pred.value().get(), nullptr},
+                          {nullptr, nullptr}};
+
+  for (const Figure9Pin& pin : kFigure9NoTargetPins) {
+    dwred::testing::SpecGenOptions opts;
+    opts.num_actions = 3;
+    opts.sound_chain = true;
+    opts.deletion_prob = pin.deletion ? 1.0 : 0.0;
+    ReductionSpecification spec =
+        MustSpec(dwred::testing::GenerateSpec(*w.mo, pin.seed, opts));
+    for (int threads : {1, 8}) {
+      exec::ThreadPool::ResetGlobal(threads);
+      const bool parallel = threads > 1;
+      const std::string where = "seed=" + std::to_string(pin.seed) +
+                                " deletion=" + std::to_string(pin.deletion) +
+                                " threads=" + std::to_string(threads);
+      auto mgr = SubcubeManager::Create(
+          "Click", {w.time_dim, w.url_dim},
+          std::vector<MeasureType>(w.mo->measure_types()), spec);
+      ASSERT_TRUE(mgr.ok()) << mgr.status().message();
+      SubcubeManager& m = mgr.value();
+      ASSERT_TRUE(m.InsertBottomFacts(*w.mo).ok());
+      std::string no_target;  // every no-target answer, in order
+      for (int64_t now : {start + 400, start + 900, start + 2000}) {
+        std::vector<std::string> fig9;
+        for (const Shape& q : shapes) {
+          auto r = m.Query(q.pred, q.target, now, false, parallel);
+          ASSERT_TRUE(r.ok()) << where << ": " << r.status().message();
+          fig9.push_back(net::RenderResult(r.value()));
+          if (q.target != nullptr) continue;
+          no_target += fig9.back();
+          auto subs = m.QuerySubresults(q.pred, q.target, now, false, parallel);
+          ASSERT_TRUE(subs.ok()) << where << ": " << subs.status().message();
+          for (const MultidimensionalObject& sub : subs.value()) {
+            no_target += net::RenderResult(sub);
+          }
+        }
+        ASSERT_TRUE(m.Synchronize(now).ok()) << where;
+        for (size_t k = 0; k < std::size(shapes); ++k) {
+          if (shapes[k].target == nullptr) continue;
+          auto twin = m.Query(shapes[k].pred, shapes[k].target, now, true,
+                              parallel);
+          ASSERT_TRUE(twin.ok()) << where << ": " << twin.status().message();
+          EXPECT_EQ(fig9[k], net::RenderResult(twin.value()))
+              << where << " now=" << now << " shape " << k;
+        }
+      }
+      EXPECT_EQ(obs::Fnv1a64(no_target), pin.fingerprint) << where;
+    }
+  }
+  exec::ThreadPool::ResetGlobal(2);
+}
+
 // Layer 3: programs compiled before a dimension value was interned. The new
 // value's id lies past every compiled table, so each operator takes its
 // per-row fallback for that row — and must still return the interpreter's
@@ -423,8 +530,9 @@ TEST(VmDifferential, StaleProgramsFallBackToInterpreterBytes) {
 
   // σ straight off the storage segments.
   auto scan_sel = [&](std::shared_ptr<const vm::PredProgram> p) {
-    return SelectFromScan(table, plan, *pred.value(), now, ap, mo.fact_type(),
-                          mo.dimensions(), mo.measure_types(), std::move(p));
+    return SelectFromScan(table, plan, pred.value().get(), now, ap,
+                          mo.fact_type(), mo.dimensions(), mo.measure_types(),
+                          std::move(p));
   };
   auto want_scan = scan_sel(nullptr);
   ASSERT_TRUE(want_scan.ok());
@@ -455,7 +563,7 @@ TEST(VmDifferential, StaleProgramsFallBackToInterpreterBytes) {
                                        /*track_provenance=*/false);
   ASSERT_TRUE(want_fused.ok());
   expect_fallback("AggregateFromScan", [&] {
-    auto got = AggregateFromScan(table, plan, *pred.value(), now, ap,
+    auto got = AggregateFromScan(table, plan, pred.value().get(), now, ap,
                                  mo.fact_type(), mo.dimensions(),
                                  mo.measure_types(), target.value(), prog,
                                  rollup);
