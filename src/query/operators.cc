@@ -12,6 +12,7 @@
 #include "obs/trace.h"
 #include "scan/scan.h"
 #include "storage/fact_table.h"
+#include "storage/group_index.h"
 
 namespace dwred {
 
@@ -43,59 +44,6 @@ std::optional<std::vector<int>> PackedCellShifts(
   }
   return shifts;
 }
-
-/// Open-addressing map from packed cell key to output FactId — the hot probe
-/// of the columnar σ→α fold. Linear probing over a power-of-two table; the
-/// caller assigns Slot() its group's fact id on first occurrence, so group
-/// creation order (and therefore output bytes) is identical to the
-/// vector-keyed map it replaces.
-class PackedGroupIndex {
- public:
-  static constexpr uint32_t kEmpty = 0xFFFFFFFFu;
-
-  PackedGroupIndex() : keys_(1024), ids_(1024, kEmpty), mask_(1023) {}
-
-  /// The id slot for `key` (kEmpty when unseen). References are invalidated
-  /// by the next Slot() call.
-  uint32_t& Slot(uint64_t key) {
-    if ((count_ + 1) * 4 >= keys_.size() * 3) Grow();
-    size_t i = Hash(key) & mask_;
-    while (ids_[i] != kEmpty && keys_[i] != key) i = (i + 1) & mask_;
-    if (ids_[i] == kEmpty) {
-      keys_[i] = key;
-      ++count_;
-    }
-    return ids_[i];
-  }
-
- private:
-  static size_t Hash(uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return static_cast<size_t>(x ^ (x >> 31));
-  }
-
-  void Grow() {
-    std::vector<uint64_t> old_keys = std::move(keys_);
-    std::vector<uint32_t> old_ids = std::move(ids_);
-    keys_.assign(old_keys.size() * 2, 0);
-    ids_.assign(old_ids.size() * 2, kEmpty);
-    mask_ = keys_.size() - 1;
-    for (size_t i = 0; i < old_keys.size(); ++i) {
-      if (old_ids[i] == kEmpty) continue;
-      size_t j = Hash(old_keys[i]) & mask_;
-      while (ids_[j] != kEmpty) j = (j + 1) & mask_;
-      keys_[j] = old_keys[i];
-      ids_[j] = old_ids[i];
-    }
-  }
-
-  std::vector<uint64_t> keys_;
-  std::vector<uint32_t> ids_;
-  size_t mask_;
-  size_t count_ = 0;
-};
 
 }  // namespace
 
@@ -668,7 +616,7 @@ Result<MultidimensionalObject> AggregateFromScan(
         packed_tab[d][v] = static_cast<uint64_t>(r) << (*shifts)[d];
       }
     }
-    PackedGroupIndex packed;
+    storage::GroupIndex packed;
     std::vector<uint64_t> keys(FactTable::kBatchRows);
     std::vector<uint8_t> slow(FactTable::kBatchRows);
     std::vector<double> wbuf(FactTable::kBatchRows);
@@ -702,8 +650,9 @@ Result<MultidimensionalObject> AggregateFromScan(
               key |= static_cast<uint64_t>(cell[d]) << (*shifts)[d];
             }
           }
-          uint32_t& slot = packed.Slot(key);
-          if (slot == PackedGroupIndex::kEmpty) {
+          // The packed key is injective, so a tag match is a group match.
+          uint32_t& slot = packed.Slot(key, [](uint32_t) { return true; });
+          if (slot == storage::GroupIndex::kEmpty) {
             if (!slow[i]) {
               for (size_t d = 0; d < ndims; ++d) {
                 cell[d] = rolled_tab[d][b.dim_col(d)[i]];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -397,8 +398,6 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
     }
   }
 
-  op.Stage("combine");
-
   if (stats) {
     stats->input_facts = mo.num_facts();
     stats->output_facts = out.num_facts();
@@ -432,6 +431,11 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
     prof->rows_scanned = static_cast<int64_t>(mo.num_facts());
     prof->result_facts = static_cast<int64_t>(out.num_facts());
   }
+  // The bookkeeping above and freeing the grouping state close the last
+  // stage, so the untimed close of the pass is only the close.
+  std::exchange(accums, {});
+  std::exchange(groups, {});
+  op.Stage("combine");
   return out;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -259,49 +258,76 @@ RowId FactTable::Append(std::span<const ValueId> coords,
                         std::span<const int64_t> measures) {
   DWRED_CHECK(coords.size() == ndims_);
   DWRED_CHECK(measures.size() == nmeas_);
-  if (segs_.empty() || segs_.back().sealed) {
-    Segment seg;
-    seg.dims.resize(ndims_);
-    seg.meas.resize(nmeas_);
-    seg.dmin.resize(ndims_);
-    seg.dmax.resize(ndims_);
-    seg.mmin.resize(nmeas_);
-    seg.mmax.resize(nmeas_);
-    starts_.push_back(num_rows_);
-    segs_.push_back(std::move(seg));
-  }
-  Segment& tail = segs_.back();
-  for (size_t d = 0; d < ndims_; ++d) {
-    tail.dims[d].push_back(coords[d]);
-    if (tail.live == 0) {
-      tail.dmin[d] = tail.dmax[d] = coords[d];
-    } else {
-      tail.dmin[d] = std::min(tail.dmin[d], coords[d]);
-      tail.dmax[d] = std::max(tail.dmax[d], coords[d]);
-    }
-  }
-  for (size_t m = 0; m < nmeas_; ++m) {
-    tail.meas[m].push_back(measures[m]);
-    if (tail.live == 0) {
-      tail.mmin[m] = tail.mmax[m] = measures[m];
-    } else {
-      tail.mmin[m] = std::min(tail.mmin[m], measures[m]);
-      tail.mmax[m] = std::max(tail.mmax[m], measures[m]);
-    }
-  }
-  ++tail.phys;
-  if (!tail.dead.empty()) {
-    tail.dead.push_back(0);
-    tail.live_phys.push_back(static_cast<uint32_t>(tail.phys - 1));
-  }
-  ++tail.live;
-  ++phys_rows_;
-  data_bytes_ += RowWidth();
-  if (tail.phys >= segment_rows_) SealSegment(tail);
-  RowId r = num_rows_++;
-  ++content_version_;
+  AppendRowsUnreported(coords.data(), measures.data(), 1);
   UpdateFootprint(1);
-  return r;
+  return num_rows_ - 1;
+}
+
+void FactTable::AppendRows(std::span<const ValueId> cells,
+                           std::span<const int64_t> measures) {
+  const size_t n = ndims_ > 0 ? cells.size() / ndims_
+                              : measures.size() / std::max<size_t>(nmeas_, 1);
+  DWRED_CHECK(cells.size() == n * ndims_);
+  DWRED_CHECK(measures.size() == n * nmeas_);
+  AppendRowsUnreported(cells.data(), measures.data(), n);
+  UpdateFootprint(static_cast<int64_t>(n));
+}
+
+void FactTable::AppendRowsUnreported(const ValueId* cells,
+                                     const int64_t* measures, size_t n) {
+  // Fills the tail a run at a time, each run ending where n single-row
+  // appends would seal.
+  for (size_t done = 0; done < n;) {
+    if (segs_.empty() || segs_.back().sealed) {
+      Segment seg;
+      seg.dims.resize(ndims_);
+      seg.meas.resize(nmeas_);
+      seg.dmin.resize(ndims_);
+      seg.dmax.resize(ndims_);
+      seg.mmin.resize(nmeas_);
+      seg.mmax.resize(nmeas_);
+      starts_.push_back(num_rows_);
+      segs_.push_back(std::move(seg));
+    }
+    Segment& tail = segs_.back();  // unsealed, so phys < segment_rows_
+    const size_t k = std::min(n - done, segment_rows_ - tail.phys);
+    // Column-wise copy out of the row-major input, extending the zone maps
+    // (seeded by the first row when the tail has no live row yet).
+    auto fill = [&](auto& col, auto& mn, auto& mx, const auto* src,
+                    size_t stride) {
+      const size_t at = col.size();
+      col.resize(at + k);
+      if (tail.live == 0) mn = mx = src[0];
+      for (size_t i = 0; i < k; ++i) {
+        const auto v = src[i * stride];
+        col[at + i] = v;
+        mn = std::min(mn, v);
+        mx = std::max(mx, v);
+      }
+    };
+    for (size_t d = 0; d < ndims_; ++d) {
+      fill(tail.dims[d], tail.dmin[d], tail.dmax[d],
+           cells + done * ndims_ + d, ndims_);
+    }
+    for (size_t m = 0; m < nmeas_; ++m) {
+      fill(tail.meas[m], tail.mmin[m], tail.mmax[m],
+           measures + done * nmeas_ + m, nmeas_);
+    }
+    if (!tail.dead.empty()) {
+      tail.dead.resize(tail.phys + k, 0);
+      for (size_t i = 0; i < k; ++i) {
+        tail.live_phys.push_back(static_cast<uint32_t>(tail.phys + i));
+      }
+    }
+    tail.phys += k;
+    tail.live += k;
+    phys_rows_ += k;
+    data_bytes_ += k * RowWidth();
+    num_rows_ += k;
+    done += k;
+    if (tail.phys >= segment_rows_) SealSegment(tail);
+  }
+  content_version_ += n;
 }
 
 void FactTable::ReadCoords(RowId r, ValueId* out) const {
@@ -519,47 +545,31 @@ Result<size_t> FactTable::CompactCells(std::span<const AggFn> aggs) {
         " aggregate functions for " + std::to_string(nmeas_) + " measures");
   }
   // Fold duplicate cells into their first occurrence, preserving
-  // first-occurrence logical order. The folded rows live in flat row-major
-  // arrays, so only a new cell's index key allocates.
-  std::unordered_map<std::vector<ValueId>, size_t, CellKeyHash> first;
-  first.reserve(num_rows_);
-  std::vector<ValueId> cells;
-  std::vector<int64_t> folded;
-  std::vector<ValueId> key(ndims_);
-  ForEachRow(0, num_rows_, [&](RowId, const RowRef& row) {
-    for (size_t d = 0; d < ndims_; ++d) key[d] = row.coord(d);
-    auto [it, inserted] = first.try_emplace(key, first.size());
-    if (inserted) {
-      cells.insert(cells.end(), key.begin(), key.end());
-      for (size_t m = 0; m < nmeas_; ++m) folded.push_back(row.measure(m));
-    } else {
-      int64_t* acc = folded.data() + it->second * nmeas_;
-      for (size_t m = 0; m < nmeas_; ++m) {
-        acc[m] = CombineMeasure(aggs[m], acc[m], row.measure(m));
-      }
+  // first-occurrence logical order.
+  storage::CellFold fold(ndims_, aggs, num_rows_);
+  std::vector<ValueId> cell(ndims_);
+  std::vector<int64_t> meas(nmeas_);
+  ForEachBatch(0, num_rows_, [&](const BatchView& b) {
+    for (size_t i = 0; i < b.rows(); ++i) {
+      for (size_t d = 0; d < ndims_; ++d) cell[d] = b.dim_col(d)[i];
+      for (size_t m = 0; m < nmeas_; ++m) meas[m] = b.meas_col(m)[i];
+      fold.Add(cell.data(), meas.data());
     }
   });
-  const size_t groups = first.size();
-  if (groups == num_rows_) return size_t{0};
+  if (fold.size() == num_rows_) return size_t{0};
 
   // Rebuild the table from the folded rows (canonical segmentation, no
   // tombstones); report the footprint change in one step.
-  size_t before = num_rows_;
+  const size_t before = num_rows_;
   segs_.clear();
   starts_.clear();
   num_rows_ = 0;
   phys_rows_ = 0;
   data_bytes_ = 0;
-  for (size_t g = 0; g < groups; ++g) {
-    Append(std::span<const ValueId>(cells).subspan(g * ndims_, ndims_),
-           std::span<const int64_t>(folded).subspan(g * nmeas_, nmeas_));
-  }
-  // Append() tracks bytes against reported_bytes_, so the byte gauges are
-  // already exact; rows were credited on top of the pre-rebuild contribution,
-  // so withdraw that.
-  if constexpr (obs::kObsEnabled) {
-    RowsGauge().Add(-static_cast<int64_t>(before));
-  }
+  AppendRowsUnreported(fold.cells().data(), fold.measures().data(),
+                       fold.size());
+  UpdateFootprint(static_cast<int64_t>(num_rows_) -
+                  static_cast<int64_t>(before));
   return before - num_rows_;
 }
 

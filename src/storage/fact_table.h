@@ -44,25 +44,21 @@
 
 #include "mdm/mo.h"
 #include "storage/column.h"
+#include "storage/group_index.h"
 
 namespace dwred {
 
 /// Logical row index within a FactTable (position among live rows).
 using RowId = uint64_t;
 
-/// FNV-1a hash over a cell key (one ValueId per dimension) — the one hash
-/// every cell-keyed map in the system uses: reduction grouping
-/// (reduce/semantics.cc), schema reduction (reduce/schema_reduction.cc),
-/// subcube compaction (CompactCells), and query grouping
-/// (query/operators.cc).
+/// FNV-1a hash over a vector cell key (one ValueId per dimension), for the
+/// vector-keyed cell maps: reduction grouping (reduce/semantics.cc), schema
+/// reduction (reduce/schema_reduction.cc) and the row-at-a-time query
+/// grouping (query/operators.cc). The same hash tags CellFold's cells
+/// (storage/group_index.h), which CompactCells folds with.
 struct CellKeyHash {
   size_t operator()(const std::vector<ValueId>& v) const {
-    size_t h = 0xcbf29ce484222325ull;
-    for (ValueId x : v) {
-      h ^= x;
-      h *= 0x100000001b3ull;
-    }
-    return h;
+    return static_cast<size_t>(storage::CellHash(v.data(), v.size()));
   }
 };
 
@@ -104,8 +100,9 @@ class FactTable {
   size_t segment_rows() const { return segment_rows_; }
 
   /// Monotonic mutation counter: advances whenever the logical row content
-  /// changes (Append/AppendFrom, rows actually erased by EraseRows, cells
-  /// actually folded by CompactCells). Copies inherit the source's counter.
+  /// changes (one per row appended by Append/AppendRows/AppendFrom, rows
+  /// actually erased by EraseRows, cells actually folded by CompactCells).
+  /// Copies inherit the source's counter.
   /// The cache layer (src/cache) compares it across an epoch-pinned read to
   /// assert the snapshot-isolation contract: a table observed under the
   /// shared lock must not move while the query runs.
@@ -115,6 +112,13 @@ class FactTable {
   /// columns — when it reaches the row budget).
   RowId Append(std::span<const ValueId> coords,
                std::span<const int64_t> measures);
+
+  /// Appends n rows given row-major: `cells` holds n * num_dims()
+  /// coordinates, `measures` n * num_measures() values. The segments, seals,
+  /// encodings, zone maps and content_version() advance are exactly those of
+  /// n Append calls; the footprint gauges are updated once.
+  void AppendRows(std::span<const ValueId> cells,
+                  std::span<const int64_t> measures);
 
   ValueId Coord(RowId r, size_t d) const {
     auto [s, p] = Locate(r);
@@ -145,7 +149,8 @@ class FactTable {
   /// arriving from several parents may populate the same cell. Keeps the
   /// first occurrence of each cell (so the logical order is the
   /// first-occurrence order, as before segmentation) and rebuilds the
-  /// segment manifest. Returns the number of rows folded away; fails with
+  /// segment manifest: one storage::CellFold over the live rows, then one
+  /// AppendRows. Returns the number of rows folded away; fails with
   /// InvalidArgument when `aggs` does not supply one function per measure.
   Result<size_t> CompactCells(std::span<const AggFn> aggs);
 
@@ -372,6 +377,10 @@ class FactTable {
   }
   /// Resident payload bytes of one segment.
   size_t SegmentDataBytesOf(const Segment& s) const;
+  /// Appends `n` row-major rows without the footprint update (the caller
+  /// reports it).
+  void AppendRowsUnreported(const ValueId* cells, const int64_t* measures,
+                            size_t n);
   /// Seals the tail and encodes its columns.
   void SealSegment(Segment& s);
   /// Moves a segment's columns into their cheapest encodings (column.h).

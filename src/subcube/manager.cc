@@ -4,6 +4,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <utility>
 
 #include "common/check.h"
 #include "exec/thread_pool.h"
@@ -15,6 +16,7 @@
 #include "runtime/governor.h"
 #include "scan/scan.h"
 #include "spec/predicate_analysis.h"
+#include "storage/group_index.h"
 #include "vm/program.h"
 
 namespace dwred {
@@ -63,14 +65,18 @@ namespace {
 
 /// Bumps the warehouse epoch on scope exit once armed — mutating passes arm
 /// it at the first point a table byte may have changed, so even an error
-/// return after partial mutation invalidates the caches.
+/// return after partial mutation invalidates the caches. A pass that
+/// completes calls BumpNow() inside its last stage instead, so the cache
+/// invalidation is timed there.
 class EpochBumpGuard {
  public:
   explicit EpochBumpGuard(cache::WarehouseCache& c) : cache_(c) {}
-  ~EpochBumpGuard() {
-    if (armed_) cache_.BumpEpoch();
-  }
+  ~EpochBumpGuard() { BumpNow(); }
   void Arm() { armed_ = true; }
+  void BumpNow() {
+    if (armed_) cache_.BumpEpoch();
+    armed_ = false;
+  }
 
  private:
   cache::WarehouseCache& cache_;
@@ -456,7 +462,7 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
   // count.
   auto plans_r = PlanPlacement(now_day, "cancel.sync.plan");
   if (!plans_r.ok()) return op.Fail(runtime::CountAbort(plans_r.status()));
-  const std::vector<Placement> plans = plans_r.take();
+  std::vector<Placement> plans = plans_r.take();
   for (size_t i = 0; i < cubes_.size(); ++i) {
     const size_t rows = plans[i].target.size();
     Status charged =
@@ -511,6 +517,7 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
     erase.resize(cube.table.num_rows(), false);
     DWRED_RETURN_IF_ERROR(cube.table.EraseRows(erase));
   }
+  std::exchange(plans, {});  // freed inside its stage, not in the close
   op.Stage("apply");
   // Cells that received data from several places are aggregated one final
   // time (Section 7.2).
@@ -521,7 +528,6 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
     DWRED_ASSIGN_OR_RETURN(size_t folded, cubes_[i]->table.CompactCells(aggs));
     compacted += folded;
   }
-  op.Stage("compact");
 
   static obs::Counter& c_syncs = registry.GetCounter(
       "dwred_subcube_syncs", "completed synchronization passes");
@@ -544,6 +550,10 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
   DWRED_LOG(Debug) << "subcube sync at day " << now_day << ": " << migrated
                    << " rows migrated, " << deleted << " deleted, "
                    << compacted << " compacted";
+  // The bookkeeping and the cache invalidation close the last stage, so the
+  // untimed close of the pass is only the close.
+  bump.BumpNow();
+  op.Stage("compact");
   return migrated;
 }
 
@@ -569,23 +579,32 @@ std::shared_ptr<const vm::RollupProgram> SubcubeManager::CompileRollup(
   return roll;
 }
 
-Result<std::vector<FactTable>> SubcubeManager::ResponsibleInputs(
+std::vector<FactTable> SubcubeManager::ResponsibleInputs(
     const std::vector<Placement>& placement) const {
   const size_t ndims = dims_.size();
   const size_t nmeas = measures_.size();
-  // One plain segment each: an input is scanned once, so sealing would
-  // encode its columns for nothing (pruning then decides per cube). Like
-  // every live FactTable, the inputs count in the dwred_storage_* gauges
-  // until the query drops them.
-  std::vector<FactTable> inputs;
-  for (size_t i = 0; i < cubes_.size(); ++i) {
-    inputs.emplace_back(ndims, nmeas, FactTable::kMaxSegmentRows);
+  // α[G_i]: every row already sits at its target cube's granularity, so the
+  // pre-aggregation is one first-occurrence fold per target, sized for every
+  // row the placement sends there.
+  std::vector<AggFn> aggs;
+  for (const auto& m : measures_) aggs.push_back(m.agg);
+  std::vector<size_t> rows_to(cubes_.size(), 0);
+  for (const Placement& plan : placement) {
+    for (size_t t : plan.target) {
+      if (t != kDeletedCell) ++rows_to[t];
+    }
+  }
+  std::vector<storage::CellFold> folds;
+  folds.reserve(cubes_.size());
+  for (size_t t = 0; t < cubes_.size(); ++t) {
+    folds.emplace_back(ndims, aggs, rows_to[t]);
   }
   std::vector<ValueId> cell(ndims);
   std::vector<int64_t> meas(nmeas);
   // Every cube's staying rows first, then the migrating rows of each cube in
   // cube order at their target's granularity: per target, exactly the row
-  // order Synchronize's apply phase would leave the cube in.
+  // order Synchronize's apply phase would leave the cube in, so each fold
+  // keeps the cells and the fold sequence its CompactCells would.
   for (bool staying : {true, false}) {
     for (size_t p = 0; p < cubes_.size(); ++p) {
       const std::vector<size_t>& target = placement[p].target;
@@ -596,21 +615,26 @@ Result<std::vector<FactTable>> SubcubeManager::ResponsibleInputs(
               const RowId r = b.first_row() + k;
               const size_t t = target[r];
               if (t == kDeletedCell || (t == p) != staying) continue;
-              for (size_t d = 0; d < ndims; ++d) {
-                cell[d] = staying ? b.dim_col(d)[k] : rolled[r * ndims + d];
+              const ValueId* c = rolled.data() + r * ndims;
+              if (staying) {
+                for (size_t d = 0; d < ndims; ++d) cell[d] = b.dim_col(d)[k];
+                c = cell.data();
               }
               for (size_t m = 0; m < nmeas; ++m) meas[m] = b.meas_col(m)[k];
-              inputs[t].Append(cell, meas);
+              folds[t].Add(c, meas.data());
             }
           });
     }
   }
-  // α[G_i]: every row already sits at its cube's granularity, so the
-  // pre-aggregation folds equal cells into their first occurrence.
-  std::vector<AggFn> aggs;
-  for (const auto& m : measures_) aggs.push_back(m.agg);
-  for (FactTable& input : inputs) {
-    DWRED_RETURN_IF_ERROR(input.CompactCells(aggs).status());
+  // One plain segment each: an input is scanned once, so sealing would
+  // encode its columns for nothing (pruning then decides per cube). Like
+  // every live FactTable, the inputs count in the dwred_storage_* gauges
+  // until the query drops them: one footprint update each.
+  std::vector<FactTable> inputs;
+  inputs.reserve(cubes_.size());
+  for (const storage::CellFold& fold : folds) {
+    inputs.emplace_back(ndims, nmeas, FactTable::kMaxSegmentRows);
+    inputs.back().AppendRows(fold.cells(), fold.measures());
   }
   return inputs;
 }
@@ -685,12 +709,14 @@ SubcubeManager::QuerySubresultsLocked(
   if (!assume_synchronized) {
     DWRED_ASSIGN_OR_RETURN(placement,
                            PlanPlacement(now_day, "cancel.query.subcube"));
-    DWRED_ASSIGN_OR_RETURN(inputs, ResponsibleInputs(placement));
     compiled = compiled || spec_.size() > 0;
   }
   if (profile != nullptr) profile->compiled = compiled;
-
   if (op != nullptr) op->Stage("plan");
+  if (!assume_synchronized) {
+    inputs = ResponsibleInputs(placement);
+    if (op != nullptr) op->Stage("preaggregate");
+  }
   if (profile != nullptr) {
     profile->fan_out = static_cast<int64_t>(cubes_.size());
     profile->subcubes.assign(cubes_.size(), obs::SubcubeProfile{});
@@ -906,6 +932,7 @@ Result<MultidimensionalObject> SubcubeManager::Query(
       if (!res.ok()) return res.status();
     }
   }
+  std::exchange(subs, {});  // freed inside the stage, not in the close
   // ... then one final combining aggregation (distributivity makes the
   // two-step aggregation exact, Section 7.3).
   if (target) {

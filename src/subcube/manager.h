@@ -218,9 +218,10 @@ class SubcubeManager {
 
   /// Figure 9's input per cube: the rows the placement assigns to it — its
   /// own first, then every other cube's rolled rows in cube order —
-  /// pre-aggregated to its granularity (first occurrence of each cell kept,
+  /// pre-aggregated to its granularity by one storage::CellFold and built
+  /// with one FactTable::AppendRows (first occurrence of each cell kept,
   /// exactly the order Synchronize would leave the cube in).
-  Result<std::vector<FactTable>> ResponsibleInputs(
+  std::vector<FactTable> ResponsibleInputs(
       const std::vector<Placement>& placement) const;
 
   /// The rollup tables for one target granularity, compiled once and cached

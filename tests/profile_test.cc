@@ -418,6 +418,39 @@ TEST_F(ProfileTest, StageTimesTileEachOperation) {
   ExpectStagesTile("reduce", pass->duration_us, reduce_stages);
 }
 
+// An unsynchronized (Figure 9) query closes a preaggregate stage right after
+// plan, around the build of its per-cube inputs; a synchronized query has no
+// such stage. Either way the stages tile the query.
+TEST_F(ProfileTest, Figure9ExplainShowsPreaggregateStage) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "built with DWRED_OBS_DISABLED";
+  IspExample ex;
+  std::unique_ptr<SubcubeManager> mgr = MakeWarehouse(&ex);
+  ASSERT_TRUE(mgr->Synchronize(DaysFromCivil({2000, 6, 5})).ok());
+  const int64_t now = DaysFromCivil({2000, 11, 5});
+  auto gran = ParseGranularityList(*ex.mo, "Time.month, URL.domain").take();
+  for (bool assume_synchronized : {false, true}) {
+    SCOPED_TRACE(assume_synchronized ? "synchronized" : "Figure 9");
+    obs::OpProfile profile;
+    ASSERT_TRUE(mgr->Query(nullptr, &gran, now, assume_synchronized,
+                           /*parallel=*/false, nullptr, &profile)
+                    .ok());
+    ASSERT_EQ(profile.cache, obs::CacheOutcome::kMiss);
+    std::vector<std::string> names;
+    for (const obs::StageTime& st : profile.stages) names.push_back(st.name);
+    auto plan = std::find(names.begin(), names.end(), "plan");
+    ASSERT_NE(plan, names.end());
+    if (assume_synchronized) {
+      EXPECT_EQ(std::count(names.begin(), names.end(), "preaggregate"), 0);
+    } else {
+      ASSERT_NE(plan + 1, names.end());
+      EXPECT_EQ(*(plan + 1), "preaggregate");
+      EXPECT_EQ(std::count(names.begin(), names.end(), "preaggregate"), 1);
+    }
+    ExpectStagesTile(assume_synchronized ? "synchronized" : "Figure 9",
+                     profile.total_us, profile.stages);
+  }
+}
+
 // DWRED_PROFILE_DISABLED set non-empty turns the whole subsystem off: the
 // caller's profile stays untouched and query bytes are unchanged. An *empty*
 // setting counts as enabled (same convention as DWRED_CACHE_DISABLED).

@@ -1,5 +1,6 @@
-// Columnar fact-table tests: append/read, physical deletion, cell
-// compaction, byte accounting, and MO round trips.
+// Columnar fact-table tests: append/read, bulk append, physical deletion,
+// cell compaction and the cell fold under it, byte accounting, and MO round
+// trips.
 
 #include "storage/fact_table.h"
 
@@ -7,7 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+
 #include "mdm/paper_example.h"
+#include "obs/metrics.h"
+#include "storage/group_index.h"
 
 namespace dwred {
 namespace {
@@ -354,6 +360,223 @@ TEST(FactTableTest, MoRoundTrip) {
     EXPECT_EQ(back.Coord(f, 1), ex.mo->Coord(f, 1));
     EXPECT_EQ(back.Measure(f, 1), ex.mo->Measure(f, 1));
   }
+}
+
+// The five process-wide footprint gauges every live FactTable reports to.
+std::vector<int64_t> StorageGauges() {
+  std::vector<int64_t> out;
+  for (const char* name :
+       {"dwred_storage_fact_rows", "dwred_storage_fact_bytes",
+        "dwred_storage_bytes_row", "dwred_storage_bytes_columnar",
+        "dwred_storage_bytes_saved"}) {
+    out.push_back(obs::MetricsRegistry::Global().GetGauge(name).Value());
+  }
+  return out;
+}
+
+// Same logical rows, same segment manifest (seals, encodings, zone maps,
+// tombstones), same byte accounting and content version.
+void ExpectSameTable(const FactTable& a, const FactTable& b) {
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  EXPECT_EQ(a.content_version(), b.content_version());
+  EXPECT_EQ(a.Bytes(), b.Bytes());
+  EXPECT_EQ(a.RowEquivalentBytes(), b.RowEquivalentBytes());
+  for (RowId r = 0; r < a.num_rows(); ++r) {
+    for (size_t d = 0; d < a.num_dims(); ++d) {
+      ASSERT_EQ(a.Coord(r, d), b.Coord(r, d)) << "row " << r;
+    }
+    for (size_t m = 0; m < a.num_measures(); ++m) {
+      ASSERT_EQ(a.Measure(r, m), b.Measure(r, m)) << "row " << r;
+    }
+  }
+  ASSERT_EQ(a.num_segments(), b.num_segments());
+  for (size_t s = 0; s < a.num_segments(); ++s) {
+    SCOPED_TRACE("segment " + std::to_string(s));
+    EXPECT_EQ(a.SegmentBegin(s), b.SegmentBegin(s));
+    EXPECT_EQ(a.SegmentLiveRows(s), b.SegmentLiveRows(s));
+    EXPECT_EQ(a.SegmentPhysicalRows(s), b.SegmentPhysicalRows(s));
+    EXPECT_EQ(a.SegmentTombstones(s), b.SegmentTombstones(s));
+    EXPECT_EQ(a.SegmentSealed(s), b.SegmentSealed(s));
+    EXPECT_EQ(a.SegmentEncoded(s), b.SegmentEncoded(s));
+    EXPECT_EQ(a.SegmentBytes(s), b.SegmentBytes(s));
+    for (size_t d = 0; d < a.num_dims(); ++d) {
+      EXPECT_EQ(a.SegmentDimEncoding(s, d), b.SegmentDimEncoding(s, d));
+      EXPECT_EQ(a.SegmentDimMin(s, d), b.SegmentDimMin(s, d));
+      EXPECT_EQ(a.SegmentDimMax(s, d), b.SegmentDimMax(s, d));
+    }
+    for (size_t m = 0; m < a.num_measures(); ++m) {
+      EXPECT_EQ(a.SegmentMeasureEncoding(s, m), b.SegmentMeasureEncoding(s, m));
+      EXPECT_EQ(a.SegmentMeasureMin(s, m), b.SegmentMeasureMin(s, m));
+      EXPECT_EQ(a.SegmentMeasureMax(s, m), b.SegmentMeasureMax(s, m));
+    }
+  }
+}
+
+// AppendRows is n Append calls in one: on an empty table and on one whose
+// unsealed tail carries tombstones, with a segment budget small enough that
+// one batch crosses several seals (and runs that compress differently).
+TEST(FactTableTest, AppendRowsEqualsRepeatedAppend) {
+  std::mt19937_64 rng(7);
+  const size_t n = 150;
+  std::vector<ValueId> cells(n * 3);
+  std::vector<int64_t> meas(n * 2);
+  for (size_t i = 0; i < n; ++i) {
+    cells[i * 3] = static_cast<ValueId>(i / 40);  // runs: RLE-friendly
+    cells[i * 3 + 1] = static_cast<ValueId>(rng() % 5);
+    cells[i * 3 + 2] = static_cast<ValueId>(rng() % 100000);
+    meas[i * 2] = static_cast<int64_t>(rng() % 1000) - 500;
+    meas[i * 2 + 1] = static_cast<int64_t>(rng());
+  }
+  for (bool tombstoned_tail : {false, true}) {
+    SCOPED_TRACE(tombstoned_tail ? "tombstoned tail" : "empty table");
+    FactTable one(3, 2, /*segment_rows=*/16);
+    FactTable bulk(3, 2, /*segment_rows=*/16);
+    if (tombstoned_tail) {
+      // 24 rows: one sealed segment and an 8-row tail, one tail row erased
+      // (under the rewrite threshold, so it stays a tombstone).
+      for (size_t i = 0; i < 24; ++i) {
+        std::span<const ValueId> c(cells.data() + i * 3, 3);
+        std::span<const int64_t> m(meas.data() + i * 2, 2);
+        one.Append(c, m);
+        bulk.Append(c, m);
+      }
+      std::vector<bool> erase(24, false);
+      erase[21] = true;
+      ASSERT_TRUE(one.EraseRows(erase).ok());
+      ASSERT_TRUE(bulk.EraseRows(erase).ok());
+      ASSERT_EQ(one.SegmentTombstones(one.num_segments() - 1), 1u);
+    }
+    const std::vector<int64_t> g_before = StorageGauges();
+    for (size_t i = 0; i < n; ++i) {
+      one.Append(std::span<const ValueId>(cells.data() + i * 3, 3),
+                 std::span<const int64_t>(meas.data() + i * 2, 2));
+    }
+    const std::vector<int64_t> g_one = StorageGauges();
+    bulk.AppendRows(cells, meas);
+    const std::vector<int64_t> g_both = StorageGauges();
+    ExpectSameTable(one, bulk);
+    EXPECT_GT(bulk.num_segments(), 5u);
+    // Each table moved every gauge by the same amount.
+    for (size_t k = 0; k < g_before.size(); ++k) {
+      EXPECT_EQ(g_one[k] - g_before[k], g_both[k] - g_one[k]) << "gauge " << k;
+    }
+  }
+}
+
+// A vector-keyed first-occurrence fold: the specification CompactCells must
+// match row for row.
+std::vector<std::pair<std::vector<ValueId>, std::vector<int64_t>>>
+ReferenceCompact(const FactTable& t, const std::vector<AggFn>& aggs) {
+  std::vector<std::pair<std::vector<ValueId>, std::vector<int64_t>>> out;
+  std::map<std::vector<ValueId>, size_t> first;
+  for (RowId r = 0; r < t.num_rows(); ++r) {
+    std::vector<ValueId> cell(t.num_dims());
+    for (size_t d = 0; d < cell.size(); ++d) cell[d] = t.Coord(r, d);
+    std::vector<int64_t> meas(t.num_measures());
+    for (size_t m = 0; m < meas.size(); ++m) meas[m] = t.Measure(r, m);
+    auto [it, inserted] = first.emplace(cell, out.size());
+    if (inserted) {
+      out.emplace_back(std::move(cell), std::move(meas));
+      continue;
+    }
+    std::vector<int64_t>& acc = out[it->second].second;
+    for (size_t m = 0; m < meas.size(); ++m) {
+      acc[m] = CombineMeasure(aggs[m], acc[m], meas[m]);
+    }
+  }
+  return out;
+}
+
+// CompactCells under SUM, MIN and MAX equals the reference fold: over 768
+// distinct cells (the 1024-slot index would grow past that; the fold is
+// sized from the row count), cells of four full-range coordinates (too wide
+// for a 64-bit packed key), and input segments with tombstones.
+TEST(FactTableTest, CompactCellsEqualsReferenceFold) {
+  std::mt19937_64 rng(11);
+  const std::vector<AggFn> aggs = {AggFn::kSum, AggFn::kMin, AggFn::kMax};
+  // 1,200 distinct wide cells, each drawn 1-4 times in random order.
+  std::vector<std::vector<ValueId>> pool;
+  for (size_t i = 0; i < 1200; ++i) {
+    pool.push_back({static_cast<ValueId>(rng()), static_cast<ValueId>(rng()),
+                    static_cast<ValueId>(i), static_cast<ValueId>(rng())});
+  }
+  FactTable t(4, 3, /*segment_rows=*/64);
+  for (size_t i = 0; i < 3000; ++i) {
+    const std::vector<ValueId>& c = pool[rng() % pool.size()];
+    const int64_t v = static_cast<int64_t>(rng() % 2001) - 1000;
+    const std::vector<int64_t> m = {v, v, v};
+    t.Append(c, m);
+  }
+  std::vector<bool> erase(t.num_rows(), false);
+  for (size_t r = 0; r < erase.size(); r += 7) erase[r] = true;
+  ASSERT_TRUE(t.EraseRows(erase).ok());
+  size_t tombstoned = 0;
+  for (size_t s = 0; s < t.num_segments(); ++s) {
+    tombstoned += t.SegmentTombstones(s) > 0 ? 1 : 0;
+  }
+  ASSERT_GT(tombstoned, 0u);
+
+  const auto want = ReferenceCompact(t, aggs);
+  ASSERT_GT(want.size(), 768u);
+  const size_t before = t.num_rows();
+  const uint64_t version = t.content_version();
+  auto folded = t.CompactCells(aggs);
+  ASSERT_TRUE(folded.ok());
+  EXPECT_EQ(folded.value(), before - want.size());
+  EXPECT_EQ(t.content_version(), version + want.size());
+  ASSERT_EQ(t.num_rows(), want.size());
+  for (RowId r = 0; r < t.num_rows(); ++r) {
+    for (size_t d = 0; d < 4; ++d) {
+      ASSERT_EQ(t.Coord(r, d), want[r].first[d]) << "row " << r;
+    }
+    for (size_t m = 0; m < 3; ++m) {
+      ASSERT_EQ(t.Measure(r, m), want[r].second[m]) << "row " << r;
+    }
+  }
+  for (size_t s = 0; s < t.num_segments(); ++s) {
+    EXPECT_EQ(t.SegmentTombstones(s), 0u);
+  }
+}
+
+// The fold grows its index past the initial 1,024 slots when it is sized
+// for fewer rows than it receives, and keeps first-occurrence ids across
+// every rehash.
+TEST(CellFoldTest, GrowsPastItsSizingAndKeepsFirstOccurrence) {
+  const std::vector<AggFn> aggs = {AggFn::kSum};
+  storage::CellFold fold(2, aggs, /*expected_rows=*/0);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (ValueId i = 0; i < 5000; ++i) {
+      const ValueId cell[2] = {i % 97, i};
+      const int64_t m = i;
+      fold.Add(cell, &m);
+    }
+  }
+  ASSERT_EQ(fold.size(), 5000u);
+  for (ValueId i = 0; i < 5000; ++i) {
+    EXPECT_EQ(fold.cells()[i * 2], i % 97);
+    EXPECT_EQ(fold.cells()[i * 2 + 1], i);
+    EXPECT_EQ(fold.measures()[i], 2 * static_cast<int64_t>(i));
+  }
+}
+
+// Distinct keys whose tags collide are told apart by eq.
+TEST(GroupIndexTest, TagCollisionsAreResolvedByEq) {
+  storage::GroupIndex index;
+  const std::vector<int> keys = {10, 20, 30};
+  std::vector<int> ids_key;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int k : keys) {
+      uint32_t& slot = index.Slot(
+          /*tag=*/42, [&](uint32_t id) { return ids_key[id] == k; });
+      if (slot == storage::GroupIndex::kEmpty) {
+        slot = static_cast<uint32_t>(ids_key.size());
+        ids_key.push_back(k);
+      } else {
+        EXPECT_EQ(ids_key[slot], k);
+      }
+    }
+  }
+  EXPECT_EQ(ids_key, keys);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <map>
 
 #include "mdm/paper_example.h"
+#include "obs/metrics.h"
 #include "paper_actions.h"
 #include "spec/parser.h"
 
@@ -171,6 +172,34 @@ TEST_F(SubcubeTest, UnsynchronizedQueryEqualsSynchronizedResult) {
   auto sync = mgr_->Query(nullptr, nullptr, t, /*assume_synchronized=*/true);
   ASSERT_TRUE(sync.ok());
   EXPECT_EQ(Snapshot(unsync.value()), Snapshot(sync.value()));
+}
+
+// Figure 9's per-cube inputs are live FactTables only while the query runs:
+// every dwred_storage_* gauge reads the same after an unsynchronized query as
+// before it.
+TEST_F(SubcubeTest, UnsynchronizedQueryLeavesStorageGaugesUnchanged) {
+  ASSERT_TRUE(mgr_->InsertBottomFacts(*ex_.mo).ok());
+  ASSERT_TRUE(mgr_->Synchronize(DaysFromCivil({2000, 6, 5})).ok());
+  auto gauges = [] {
+    std::vector<int64_t> out;
+    for (const char* name :
+         {"dwred_storage_fact_rows", "dwred_storage_fact_bytes",
+          "dwred_storage_bytes_row", "dwred_storage_bytes_columnar",
+          "dwred_storage_bytes_saved"}) {
+      out.push_back(obs::MetricsRegistry::Global().GetGauge(name).Value());
+    }
+    return out;
+  };
+  const std::vector<int64_t> before = gauges();
+  if (obs::kObsEnabled) EXPECT_GT(before[0], 0);
+  // Two NOW days, so the second query misses the result cache too.
+  const int64_t t = DaysFromCivil({2000, 11, 5});
+  for (bool parallel : {false, true}) {
+    auto unsync = mgr_->Query(nullptr, nullptr, t + (parallel ? 1 : 0),
+                              /*assume_synchronized=*/false, parallel);
+    ASSERT_TRUE(unsync.ok()) << unsync.status().ToString();
+    EXPECT_EQ(gauges(), before) << "parallel=" << parallel;
+  }
 }
 
 TEST_F(SubcubeTest, UnsyncSubresultsPullFromParents) {

@@ -33,7 +33,7 @@ done
 case "$mode" in
   asan)
     cmake -B build-asan -S . "-DDWRED_SANITIZE=address;undefined"
-    cmake --build build-asan -j
+    cmake --build build-asan -j "$(nproc)"
     cd build-asan
     # UBSan reports are fatal for the whole suite: any undefined behaviour
     # fails the run instead of scrolling by in a passing test's output.
@@ -48,7 +48,7 @@ case "$mode" in
     ;;
   tsan)
     cmake -B build-tsan -S . "-DDWRED_SANITIZE=thread"
-    cmake --build build-tsan -j
+    cmake --build build-tsan -j "$(nproc)"
     cd build-tsan
     # The concurrency surface: pool internals under stress, the parallel
     # reduce/synchronize/query passes, the metrics they update, the
@@ -63,7 +63,7 @@ case "$mode" in
         -R 'exec_pool_test|parallel_differential_test|vm_differential_test|columnar_test|obs_test|cache_coherence_test|profile_test|cancel_test|cancel_matrix_test|net_protocol_test|server_test'
     ;;
   plain)
-    cmake -B build -S . && cmake --build build -j && cd build \
+    cmake -B build -S . && cmake --build build -j "$(nproc)" && cd build \
       && ctest --output-on-failure -j
     ;;
 esac
