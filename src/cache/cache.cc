@@ -12,6 +12,7 @@ namespace {
 struct CacheMetrics {
   obs::Counter& query_hits;
   obs::Counter& query_misses;
+  obs::Counter& query_refreshes;
   obs::Counter& scanspec_hits;
   obs::Counter& scanspec_misses;
   obs::Counter& evictions;
@@ -26,6 +27,9 @@ struct CacheMetrics {
                      "query results served from the epoch-versioned cache"),
         r.GetCounter("dwred_cache_query_misses",
                      "query-result cache lookups that fell through"),
+        r.GetCounter("dwred_cache_query_refreshes",
+                     "maintained query results refreshed by folding in the "
+                     "rows appended since they were computed"),
         r.GetCounter("dwred_cache_scanspec_hits",
                      "compiled ScanSpecs served from the cache"),
         r.GetCounter("dwred_cache_scanspec_misses",
@@ -33,7 +37,7 @@ struct CacheMetrics {
         r.GetCounter("dwred_cache_evictions",
                      "cache entries dropped past the LRU entry/byte budgets"),
         r.GetCounter("dwred_cache_invalidations",
-                     "cache entries dropped by an epoch bump"),
+                     "query results dropped by an epoch bump"),
         r.GetGauge("dwred_cache_bytes",
                    "approximate bytes held by warehouse caches"),
         r.GetGauge("dwred_cache_entries",
@@ -62,14 +66,24 @@ bool Enabled() {
   return env == nullptr || *env == '\0';
 }
 
+std::string Extents(const std::vector<std::shared_ptr<Dimension>>& dims) {
+  std::string out;
+  for (size_t d = 0; d < dims.size(); ++d) {
+    if (d) out += ",";
+    out += std::to_string(dims[d]->num_values());
+  }
+  return out;
+}
+
 std::string QueryFingerprint(const MultidimensionalObject& ctx,
                              const PredExpr* pred,
                              const std::vector<CategoryId>* target,
                              int64_t now_day, bool assume_synchronized,
-                             uint64_t epoch) {
-  std::string key = "q|e=" + std::to_string(epoch) +
-                    "|now=" + std::to_string(now_day) +
-                    "|sync=" + (assume_synchronized ? "1" : "0") + "|t=";
+                             uint64_t layout_epoch, uint64_t data_epoch) {
+  std::string key = "q|l=" + std::to_string(layout_epoch);
+  if (!assume_synchronized) key += "|e=" + std::to_string(data_epoch);
+  key += "|now=" + std::to_string(now_day) +
+         "|sync=" + (assume_synchronized ? "1" : "0") + "|t=";
   AppendGranularity(target, &key);
   key += "|p=";
   key += pred ? pred->ToString(ctx) : "<all>";
@@ -77,24 +91,32 @@ std::string QueryFingerprint(const MultidimensionalObject& ctx,
 }
 
 std::string ScanSpecFingerprint(const MultidimensionalObject& ctx,
-                                const PredExpr& pred, int64_t now_day,
-                                uint64_t epoch) {
-  return "s|e=" + std::to_string(epoch) + "|now=" + std::to_string(now_day) +
-         "|p=" + pred.ToString(ctx);
+                                const PredExpr& pred, int64_t now_day) {
+  return "s|x=" + Extents(ctx.dimensions()) +
+         "|now=" + std::to_string(now_day) + "|p=" + pred.ToString(ctx);
 }
 
 std::string ProgramFingerprint(const MultidimensionalObject& ctx,
                                const PredExpr& pred, int64_t now_day,
-                               uint64_t epoch, const char* approach) {
-  return std::string("v|a=") + approach + "|e=" + std::to_string(epoch) +
+                               const char* approach) {
+  return std::string("v|a=") + approach + "|x=" + Extents(ctx.dimensions()) +
          "|now=" + std::to_string(now_day) + "|p=" + pred.ToString(ctx);
 }
 
-std::string RollupFingerprint(const std::vector<CategoryId>& target,
-                              uint64_t epoch) {
-  std::string key = "r|e=" + std::to_string(epoch) + "|g=";
+std::string RollupFingerprint(
+    const std::vector<std::shared_ptr<Dimension>>& dims,
+    const std::vector<CategoryId>& target) {
+  std::string key = "r|x=" + Extents(dims) + "|g=";
   AppendGranularity(&target, &key);
   return key;
+}
+
+size_t QueryEntry::ApproxBytes() const {
+  // Capacity-based: the budget must count what the allocator holds, not the
+  // logical fact payload (see MultidimensionalObject::ApproxBytes).
+  size_t bytes = answer->ApproxBytes() + extents.capacity();
+  for (const auto& sub : subresults) bytes += sub->ApproxBytes();
+  return bytes;
 }
 
 WarehouseCache::WarehouseCache(size_t max_entries, size_t max_bytes)
@@ -134,22 +156,28 @@ size_t WarehouseCache::EvictOver(Lru<V>& lru, size_t max_entries,
 template <typename V>
 void WarehouseCache::Insert(Lru<V>& lru, const std::string& key,
                             std::shared_ptr<const V> value,
-                            size_t value_bytes) {
+                            size_t value_bytes, bool replace) {
   std::lock_guard<std::mutex> lock(cache_mu_);
   size_t entry_bytes = key.size() + value_bytes + sizeof(typename Lru<V>::Node);
   auto it = lru.index.find(key);
   if (it != lru.index.end()) {
-    // Same key, same epoch: the value is byte-identical by the determinism
-    // contract — just refresh recency.
     lru.order.splice(lru.order.begin(), lru.order, it->second);
-    return;
+    if (!replace) return;  // byte-identical by the determinism contract
+    auto& node = *it->second;
+    node.value = std::move(value);
+    lru.bytes += entry_bytes;
+    lru.bytes -= node.bytes;
+    CacheMetrics::Get().bytes.Add(static_cast<int64_t>(entry_bytes) -
+                                  static_cast<int64_t>(node.bytes));
+    node.bytes = entry_bytes;
+  } else {
+    lru.order.push_front(
+        typename Lru<V>::Node{key, std::move(value), entry_bytes});
+    lru.index.emplace(key, lru.order.begin());
+    lru.bytes += entry_bytes;
+    CacheMetrics::Get().bytes.Add(static_cast<int64_t>(entry_bytes));
+    CacheMetrics::Get().entries.Add(1);
   }
-  lru.order.push_front(
-      typename Lru<V>::Node{key, std::move(value), entry_bytes});
-  lru.index.emplace(key, lru.order.begin());
-  lru.bytes += entry_bytes;
-  CacheMetrics::Get().bytes.Add(static_cast<int64_t>(entry_bytes));
-  CacheMetrics::Get().entries.Add(1);
   size_t evicted = EvictOver(lru, max_entries_, max_bytes_);
   if (evicted > 0) {
     CacheMetrics::Get().evictions.Increment(evicted);
@@ -169,34 +197,59 @@ size_t WarehouseCache::DropAll(Lru<V>& lru) {
 }
 
 uint64_t WarehouseCache::BumpEpoch() {
+  layout_epoch_.fetch_add(1, std::memory_order_acq_rel);
   uint64_t next = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
   std::lock_guard<std::mutex> lock(cache_mu_);
-  size_t dropped = DropAll(query_) + DropAll(scanspec_) + DropAll(program_) +
-                   DropAll(rollup_);
+  size_t dropped = DropAll(query_);
   if (dropped > 0) CacheMetrics::Get().invalidations.Increment(dropped);
   return next;
 }
 
-std::shared_ptr<const MultidimensionalObject> WarehouseCache::LookupQuery(
-    const std::string& key) const {
-  if (!Enabled()) return nullptr;
-  auto hit = Lookup(query_, key);
-  if (hit) {
-    CacheMetrics::Get().query_hits.Increment();
-  } else {
-    CacheMetrics::Get().query_misses.Increment();
+void WarehouseCache::AdvanceDataEpoch() {
+  epoch_.fetch_add(1, std::memory_order_acq_rel);
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  size_t dropped = 0;
+  for (auto it = query_.order.begin(); it != query_.order.end();) {
+    if (it->value->maintained()) {
+      ++it;
+      continue;
+    }
+    query_.bytes -= it->bytes;
+    CacheMetrics::Get().bytes.Add(-static_cast<int64_t>(it->bytes));
+    query_.index.erase(it->key);
+    it = query_.order.erase(it);
+    ++dropped;
   }
-  return hit;
+  if (dropped > 0) {
+    CacheMetrics::Get().invalidations.Increment(dropped);
+    CacheMetrics::Get().entries.Add(-static_cast<int64_t>(dropped));
+  }
 }
 
-void WarehouseCache::InsertQuery(
-    const std::string& key,
-    std::shared_ptr<const MultidimensionalObject> result) {
-  if (!Enabled() || !result) return;
-  // Capacity-based: the budget must count what the allocator holds, not the
-  // logical fact payload (see MultidimensionalObject::ApproxBytes).
-  size_t bytes = result->ApproxBytes();
-  Insert(query_, key, std::move(result), bytes);
+std::shared_ptr<const QueryEntry> WarehouseCache::LookupQuery(
+    const std::string& key, size_t bottom_rows,
+    const std::string& extents) const {
+  if (!Enabled()) return nullptr;
+  std::shared_ptr<const QueryEntry> entry = Lookup(query_, key);
+  if (entry != nullptr && entry->extents == extents) {
+    if (entry->bottom_rows == bottom_rows) {
+      CacheMetrics::Get().query_hits.Increment();
+      return entry;
+    }
+    if (entry->maintained() && entry->bottom_rows < bottom_rows) {
+      CacheMetrics::Get().query_refreshes.Increment();
+      return entry;
+    }
+  }
+  CacheMetrics::Get().query_misses.Increment();
+  return nullptr;
+}
+
+void WarehouseCache::InsertQuery(const std::string& key,
+                                 std::shared_ptr<const QueryEntry> entry) {
+  if (!Enabled() || !entry) return;
+  size_t bytes = entry->ApproxBytes();
+  Insert(query_, key, std::move(entry), bytes, /*replace=*/true);
 }
 
 std::shared_ptr<const scan::ScanSpec> WarehouseCache::LookupScanSpec(
@@ -266,6 +319,7 @@ WarehouseCache::Stats WarehouseCache::GetStats() const {
 }
 
 void WarehouseCache::Clear() {
+  layout_epoch_.fetch_add(1, std::memory_order_acq_rel);
   std::lock_guard<std::mutex> lock(cache_mu_);
   DropAll(query_);
   DropAll(scanspec_);

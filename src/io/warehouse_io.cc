@@ -125,7 +125,9 @@ std::string WriteFactCsv(const MultidimensionalObject& mo) {
   return WriteCsv(rows);
 }
 
-Status ReadFactCsv(MultidimensionalObject* mo, std::string_view csv_text) {
+Status ReadFactCsv(MultidimensionalObject* mo, std::string_view csv_text,
+                   bool* needs_intern) {
+  if (needs_intern != nullptr) *needs_intern = false;
   DWRED_ASSIGN_OR_RETURN(auto rows, ParseCsv(csv_text));
   if (rows.empty()) return Status::InvalidArgument("fact CSV has no header");
   const size_t ndims = mo->num_dimensions();
@@ -161,7 +163,15 @@ Status ReadFactCsv(MultidimensionalObject* mo, std::string_view csv_text) {
               "row " + std::to_string(r) + ": time value '" + val_name +
               "' is not of category " + cat_name);
         }
-        DWRED_ASSIGN_OR_RETURN(coords[d], dim.EnsureTimeValue(g));
+        if (needs_intern == nullptr) {
+          DWRED_ASSIGN_OR_RETURN(coords[d], dim.EnsureTimeValue(g));
+        } else {
+          coords[d] = dim.FindTimeValue(g);
+          if (coords[d] == kInvalidValue) {
+            *needs_intern = true;
+            return Status::OK();
+          }
+        }
       } else {
         return Status::NotFound("row " + std::to_string(r) +
                                 ": unknown value '" + val_name +

@@ -39,7 +39,14 @@ std::string WriteFactCsv(const MultidimensionalObject& mo);
 /// Appends facts from CSV text (the WriteFactCsv layout) to `mo`. Values are
 /// resolved by category + name; unknown time values are materialized from
 /// their granule spelling; unknown categorical values are an error.
-Status ReadFactCsv(MultidimensionalObject* mo, std::string_view csv_text);
+///
+/// With `needs_intern`, nothing is materialized: values are resolved by
+/// lookup alone, so the dimensions are only read. A time value not yet
+/// interned stops the decode with *needs_intern set and `mo` partly filled;
+/// the caller discards it and decodes again without `needs_intern`, under
+/// whatever lock mutating the shared dimensions requires.
+Status ReadFactCsv(MultidimensionalObject* mo, std::string_view csv_text,
+                   bool* needs_intern = nullptr);
 
 /// Parses a specification file: one action per line, optionally prefixed
 /// "name:", blank lines and '#' comments ignored.

@@ -513,19 +513,25 @@ Response Server::DoInsert(const Request& req) {
   const MultidimensionalObject& ctx = mgr_->context();
   MultidimensionalObject batch(ctx.fact_type(), ctx.dimensions(),
                                ctx.measure_types());
-  {
-    // CSV decoding interns unknown time values into the *shared* dimensions;
-    // that mutation must not race epoch-pinned readers, so it runs under the
-    // exclusive snapshot lock (released before InsertBottomFacts, which
-    // re-acquires it — the lock is not recursive). Values interned here are
-    // factless until the insert lands; a reader between the two critical
-    // sections sees extra interned values but identical facts and bytes.
+  // The decode resolves values by lookup alone, outside the snapshot lock:
+  // write_mu_ excludes every other writer and readers never intern, so the
+  // shared dimensions are only read. Only a batch naming a time value not
+  // yet interned is decoded again, interning, under the exclusive snapshot
+  // lock (released before InsertBottomFacts, which re-acquires it — the lock
+  // is not recursive). Values interned here are factless until the insert
+  // lands; a reader between the two critical sections sees extra interned
+  // values but identical facts and bytes.
+  bool needs_intern = false;
+  Status st = ReadFactCsv(&batch, req.a, &needs_intern);
+  if (st.ok() && needs_intern) {
+    batch = MultidimensionalObject(ctx.fact_type(), ctx.dimensions(),
+                                   ctx.measure_types());
     std::unique_lock<std::shared_mutex> lock(
         mgr_->warehouse_cache().snapshot_mutex());
-    Status st = ReadFactCsv(&batch, req.a);
-    if (!st.ok()) return FromStatus(st);
+    st = ReadFactCsv(&batch, req.a);
   }
-  Status st = mgr_->InsertBottomFacts(batch);
+  if (!st.ok()) return FromStatus(st);
+  st = mgr_->InsertBottomFacts(batch);
   if (!st.ok()) return FromStatus(st);
   Response resp;
   resp.body = "inserted " + std::to_string(batch.num_facts()) +

@@ -14,9 +14,11 @@
 // the warehouse snapshot lock shared inside the engine — epoch-pinned reads,
 // concurrent across sessions. Mutating commands (insert, synchronize,
 // spec-change, cache-clear) additionally serialize through `write_mu_` so
-// two sessions cannot interleave a CSV parse (which interns new dimension
+// two sessions cannot interleave a CSV parse (which may intern new dimension
 // values) with another writer's pass; the engine's exclusive snapshot lock
-// then fences them against readers as embedded.
+// then fences them against readers as embedded. An insert decodes its CSV
+// by lookup alone outside the snapshot lock, and takes it exclusively for
+// the decode only when a time value has to be interned.
 //
 // Every command runs under a fresh runtime::OpContext carrying the request's
 // deadline and row budget plus a cancellable token, with poll sites

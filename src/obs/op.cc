@@ -43,7 +43,8 @@ void Op::Stage(const char* name) {
 }
 
 Op::~Op() {
-  const Clock::duration wall = Clock::now() - start();
+  const Clock::time_point end = Clock::now();
+  const Clock::duration wall = end - start();
   t_open_op = enclosing_;
   if (slice_ != nullptr) slice_->wall_us = Micros(wall);
   if (prof_ == nullptr) return;
@@ -55,6 +56,10 @@ Op::~Op() {
   const runtime::OpContext& ctx = runtime::CurrentOpContext();
   p.budget_max_rows = ctx.max_rows();
   p.budget_rows_charged = ctx.rows_charged();
+  // The span ends at the instant the total was taken, before the flight
+  // recorder formats and stores the entry: the latency sample, the trace
+  // duration and the EXPLAIN total are one duration.
+  End(end);
   if (enclosing_ == nullptr) {
     FlightRecorder::Global().Record(p);
   } else if (enclosing_->prof_ != nullptr && enclosing_->prof_ != prof_) {

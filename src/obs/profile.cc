@@ -36,6 +36,7 @@ const char* CacheOutcomeName(CacheOutcome c) {
     case CacheOutcome::kDisabled: return "off";
     case CacheOutcome::kMiss: return "miss";
     case CacheOutcome::kHit: return "hit";
+    case CacheOutcome::kRefresh: return "refresh";
   }
   return "?";
 }

@@ -54,6 +54,7 @@ enum class CacheOutcome {
   kDisabled,       ///< cache compiled/env'd off for this run
   kMiss,
   kHit,
+  kRefresh,  ///< a maintained answer, appended rows folded in (rows_folded)
 };
 
 /// One timed stage of an operation (plan / scan / aggregate / materialize...).

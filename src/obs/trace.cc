@@ -134,8 +134,12 @@ void TraceSpan::Open() {
 }
 
 TraceSpan::~TraceSpan() {
+  if (!ended_) End(std::chrono::steady_clock::now());
+}
+
+void TraceSpan::End(std::chrono::steady_clock::time_point end) {
+  ended_ = true;
   if constexpr (!kObsEnabled) return;
-  auto end = std::chrono::steady_clock::now();
   double seconds = std::chrono::duration<double>(end - start_).count();
   if (latency_) latency_->Record(seconds);
   if (traced_) {
@@ -152,7 +156,9 @@ TraceSpan::~TraceSpan() {
     ev.trace_id = trace_id_;
     ev.span_id = span_id_;
     ev.parent_id = parent_id_;
-    ev.duration_us = static_cast<int64_t>(seconds * 1e6);
+    ev.duration_us =
+        std::chrono::duration_cast<std::chrono::microseconds>(end - start_)
+            .count();
     ev.start_us = buf.NowMicros() - ev.duration_us;
     ev.fields = std::move(fields_);
     buf.Record(std::move(ev));

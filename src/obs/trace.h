@@ -141,6 +141,12 @@ class TraceSpan {
   const std::string& name() const { return name_; }
   std::chrono::steady_clock::time_point start() const { return start_; }
 
+  /// Closes the span at `end`: observes the latency histogram, restores the
+  /// parent context and emits the event. The destructor does this at its
+  /// own "now" unless a subclass ended the span first (obs::Op ends it at
+  /// the instant its profile total is taken).
+  void End(std::chrono::steady_clock::time_point end);
+
  private:
   void Open();  ///< allocates ids + installs the context when tracing is on
 
@@ -152,6 +158,7 @@ class TraceSpan {
   uint64_t span_id_ = 0;
   uint64_t parent_id_ = 0;
   bool traced_ = false;  ///< buffer was enabled when the span opened
+  bool ended_ = false;
 };
 
 /// Parses the JSON-lines format produced by DumpJsonLines back into events.

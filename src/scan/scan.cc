@@ -151,17 +151,19 @@ bool ScanSpec::MaySatisfySegment(const FactTable& t, size_t s) const {
   return false;
 }
 
-ScanPlan PlanTableScan(const FactTable& t, const ScanSpec& spec) {
+ScanPlan PlanTableScan(const FactTable& t, const ScanSpec& spec,
+                       size_t first_row) {
   ScanPlan plan;
-  plan.segments_total = t.num_segments();
   for (size_t s = 0; s < t.num_segments(); ++s) {
+    const size_t begin = static_cast<size_t>(t.SegmentBegin(s));
+    const size_t end = begin + t.SegmentLiveRows(s);
+    if (first_row > 0 && end <= first_row) continue;
+    ++plan.segments_total;
     if (spec.MaySatisfySegment(t, s)) {
-      plan.units.push_back(exec::Shard{
-          static_cast<size_t>(t.SegmentBegin(s)),
-          static_cast<size_t>(t.SegmentBegin(s)) + t.SegmentLiveRows(s)});
+      plan.units.push_back(exec::Shard{std::max(begin, first_row), end});
     } else {
       ++plan.segments_pruned;
-      plan.rows_skipped += t.SegmentLiveRows(s);
+      plan.rows_skipped += end - std::max(begin, first_row);
     }
   }
   if constexpr (obs::kObsEnabled) {

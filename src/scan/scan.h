@@ -97,8 +97,12 @@ class ScanSpec {
 };
 
 /// Plans a scan of `t`: one shard per surviving segment, zone-map pruning
-/// against `spec`. Updates the dwred_scan_* counters.
-ScanPlan PlanTableScan(const FactTable& t, const ScanSpec& spec);
+/// against `spec`. Updates the dwred_scan_* counters. With `first_row`, the
+/// plan covers only logical rows [first_row, num_rows) — the rows appended
+/// since a maintained query answer was computed (docs/CACHING.md); segments
+/// wholly before it are not part of the plan.
+ScanPlan PlanTableScan(const FactTable& t, const ScanSpec& spec,
+                       size_t first_row = 0);
 
 /// Plans an unpruned scan of an `n`-fact MO (or any flat index space):
 /// contiguous ascending shards of at least `grain` rows, sized to the global

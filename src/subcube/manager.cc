@@ -63,16 +63,18 @@ SubcubeManager::SubcubeManager(std::string fact_type,
 
 namespace {
 
-/// Bumps the warehouse epoch on scope exit once armed — mutating passes arm
-/// it at the first point a table byte may have changed, so even an error
-/// return after partial mutation invalidates the caches. A pass that
-/// completes calls BumpNow() inside its last stage instead, so the cache
-/// invalidation is timed there.
+/// Bumps the warehouse epochs (layout and data) on scope exit once armed —
+/// mutating passes arm it at the first point a table byte may have changed,
+/// so even an error return after partial mutation invalidates the caches. A
+/// pass that completes calls BumpNow() inside its last stage instead, so the
+/// cache invalidation is timed there; a successful insert disarms it and
+/// advances the data epoch alone.
 class EpochBumpGuard {
  public:
   explicit EpochBumpGuard(cache::WarehouseCache& c) : cache_(c) {}
   ~EpochBumpGuard() { BumpNow(); }
   void Arm() { armed_ = true; }
+  void Disarm() { armed_ = false; }
   void BumpNow() {
     if (armed_) cache_.BumpEpoch();
     armed_ = false;
@@ -175,8 +177,13 @@ Status SubcubeManager::InsertBottomFacts(const MultidimensionalObject& batch) {
   // cancelling here leaves the warehouse byte-identical to never inserting.
   DWRED_RETURN_IF_ERROR(
       runtime::CountAbort(runtime::PollCancel("cancel.insert.batch")));
-  if (batch.num_facts() > 0) bump.Arm();
+  if (batch.num_facts() == 0) return Status::OK();
+  bump.Arm();
   DWRED_RETURN_IF_ERROR(cubes_[0]->table.AppendFrom(batch));
+  // Only K0 grew: maintained answers stay, to be refreshed by their next
+  // lookup (docs/CACHING.md).
+  bump.Disarm();
+  cache_->AdvanceDataEpoch();
   return Status::OK();
 }
 
@@ -207,8 +214,8 @@ SubcubeManager::SpecPrograms SubcubeManager::CompileSpecPrograms(
   const scan::AtomOracle oracle = vm::SpecAtomOracle(ctx_, now_day);
   for (ActionId a = 0; a < spec_.size(); ++a) {
     const PredExpr& pred = *spec_.action(a).predicate;
-    const std::string key = cache::ProgramFingerprint(
-        ctx_, pred, now_day, cache_->epoch(), "spec");
+    const std::string key =
+        cache::ProgramFingerprint(ctx_, pred, now_day, "spec");
     std::shared_ptr<const vm::PredProgram> prog = cache_->LookupProgram(key);
     if (prog == nullptr) {
       if (auto compiled = vm::PredProgram::Compile(ctx_, pred, oracle)) {
@@ -567,7 +574,7 @@ Result<std::vector<MultidimensionalObject>> SubcubeManager::QuerySubresults(
 
 std::shared_ptr<const vm::RollupProgram> SubcubeManager::CompileRollup(
     const std::vector<CategoryId>& target) const {
-  const std::string rkey = cache::RollupFingerprint(target, cache_->epoch());
+  const std::string rkey = cache::RollupFingerprint(dims_, target);
   std::shared_ptr<const vm::RollupProgram> roll = cache_->LookupRollup(rkey);
   if (roll == nullptr) {
     if (auto compiled = vm::RollupProgram::Compile(dims_, target)) {
@@ -639,12 +646,10 @@ std::vector<FactTable> SubcubeManager::ResponsibleInputs(
   return inputs;
 }
 
-Result<std::vector<MultidimensionalObject>>
-SubcubeManager::QuerySubresultsLocked(
+SubcubeManager::QueryKernel SubcubeManager::CompileKernel(
     const PredExpr* pred, const std::vector<CategoryId>* target,
-    int64_t now_day, bool assume_synchronized, bool parallel, obs::Op* op,
-    std::shared_ptr<const vm::RollupProgram> rollup) const {
-  obs::OpProfile* profile = op != nullptr ? op->profile() : nullptr;
+    int64_t now_day, std::shared_ptr<const vm::RollupProgram> rollup) const {
+  QueryKernel k;
   // The selection predicate prunes whole storage segments via zone maps
   // before any column is decoded: pruned segments hold only rows whose
   // selection weight is 0 under every approach (the spec compiles against
@@ -655,40 +660,36 @@ SubcubeManager::QuerySubresultsLocked(
   //
   // Compilation enumerates every value of each constrained dimension through
   // the liberal oracle — linear in dimension extent — so compiled specs are
-  // cached per (predicate, NOW day, epoch); a hit skips the enumeration and
-  // is byte-identical because nothing else feeds the compilation. A freshly
-  // compiled spec is cached only once the fan-out succeeds, so an aborted
-  // query leaves the ScanSpec cache as it found it.
-  scan::ScanSpec scan_spec = scan::ScanSpec::All();
-  std::string new_skey;
+  // cached per (predicate, NOW day, extents); a hit skips the enumeration
+  // and is byte-identical because nothing else feeds the compilation. A
+  // freshly compiled spec is cached only once the caller's evaluation
+  // succeeds, so an aborted query leaves the ScanSpec cache as it found it.
   if (pred != nullptr) {
-    const std::string skey =
-        cache::ScanSpecFingerprint(ctx_, *pred, now_day, cache_->epoch());
+    const std::string skey = cache::ScanSpecFingerprint(ctx_, *pred, now_day);
     if (std::shared_ptr<const scan::ScanSpec> hit =
             cache_->LookupScanSpec(skey)) {
-      scan_spec = *hit;
+      k.scan_spec = *hit;
     } else {
-      scan_spec =
-          scan::ScanSpec::Compile(ctx_, *pred, now_day, LiberalScanOracle(now_day));
-      new_skey = skey;
+      k.scan_spec = scan::ScanSpec::Compile(ctx_, *pred, now_day,
+                                            LiberalScanOracle(now_day));
+      k.new_skey = skey;
     }
   }
 
   // The predicate compiled to bytecode (src/vm, docs/COMPILATION.md) under
   // the conservative approach, cached per (approach, predicate, NOW day,
-  // epoch) like the ScanSpec. Null — per-row tree interpretation,
+  // extents) like the ScanSpec. Null — per-row tree interpretation,
   // byte-identical — when the compiler rejects the predicate.
-  std::shared_ptr<const vm::PredProgram> prog;
   if (pred != nullptr) {
     const std::string vkey = cache::ProgramFingerprint(
-        ctx_, *pred, now_day, cache_->epoch(),
+        ctx_, *pred, now_day,
         SelectionApproachName(SelectionApproach::kConservative));
-    prog = cache_->LookupProgram(vkey);
-    if (prog == nullptr) {
+    k.prog = cache_->LookupProgram(vkey);
+    if (k.prog == nullptr) {
       if (auto compiled = vm::PredProgram::Compile(
               ctx_, *pred,
               QueryAtomOracle(now_day, SelectionApproach::kConservative))) {
-        prog = cache_->InsertProgram(
+        k.prog = cache_->InsertProgram(
             vkey,
             std::make_shared<const vm::PredProgram>(std::move(*compiled)));
       }
@@ -697,7 +698,93 @@ SubcubeManager::QuerySubresultsLocked(
   // The target-granularity rollup tables, compiled once per query and shared
   // by every per-cube aggregate formation (Query also reuses them for the
   // final combining aggregation).
-  if (target != nullptr && rollup == nullptr) rollup = CompileRollup(*target);
+  k.rollup = std::move(rollup);
+  if (target != nullptr && k.rollup == nullptr) k.rollup = CompileRollup(*target);
+  return k;
+}
+
+Result<MultidimensionalObject> SubcubeManager::EvalSubcube(
+    size_t i, const FactTable& source, size_t first_row, const QueryKernel& k,
+    const PredExpr* pred, const std::vector<CategoryId>* target,
+    int64_t now_day, obs::SubcubeProfile* sc) const {
+  // Cooperative abort point, polled once per subcube before its rows are
+  // touched; the cube's stored rows from `first_row` on are charged against
+  // the query's row budget up front so an over-budget fan-out stops at
+  // subcube granularity. Evaluation is read-only, so aborting here leaves no
+  // state behind.
+  const Subcube& cube = *cubes_[i];
+  DWRED_RETURN_IF_ERROR(runtime::PollCancel("cancel.query.subcube"));
+  DWRED_RETURN_IF_ERROR(runtime::CurrentOpContext().ChargeRows(
+      static_cast<int64_t>(cube.table.num_rows() - first_row)));
+  static obs::Histogram& subquery_latency =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "dwred_subcube_subquery_seconds", obs::DefaultLatencyBuckets(),
+          "wall time of one per-subcube subquery evaluation (Section 7.3)");
+  obs::Op sub(obs::TraceBuffer::Global().enabled()
+                  ? "subcube.subquery/cube=" + cube.name
+                  : std::string("subcube.subquery"),
+              subquery_latency, sc);
+  sub.AddField("cube", static_cast<int64_t>(i));
+
+  scan::ScanPlan plan = scan::PlanTableScan(source, k.scan_spec, first_row);
+  if (sc != nullptr) {
+    sc->name = cube.name;
+    sc->segments_total = static_cast<int64_t>(plan.segments_total);
+    sc->segments_pruned = static_cast<int64_t>(plan.segments_pruned);
+    sc->segments_scanned =
+        static_cast<int64_t>(plan.segments_total - plan.segments_pruned);
+    sc->rows_skipped = static_cast<int64_t>(plan.rows_skipped);
+    for (const exec::Shard& u : plan.units) {
+      sc->rows_scanned += static_cast<int64_t>(u.end - u.begin);
+    }
+  }
+  sub.Stage("scan");
+  // σ→α fused (operators.h: AggregateFromScan), or σ alone: weights off
+  // the storage segments through the compiled program, surviving rows
+  // folded into their output groups (or emitted under their logical-row
+  // names). A null predicate weighs every row 1.
+  MultidimensionalObject base(fact_type_, dims_, measures_);
+  if (target != nullptr) {
+    DWRED_ASSIGN_OR_RETURN(
+        base, AggregateFromScan(source, plan, pred, now_day,
+                                SelectionApproach::kConservative, fact_type_,
+                                dims_, measures_, *target, k.prog, k.rollup));
+  } else {
+    DWRED_ASSIGN_OR_RETURN(
+        SelectionResult sel,
+        SelectFromScan(source, plan, pred, now_day,
+                       SelectionApproach::kConservative, fact_type_, dims_,
+                       measures_, k.prog));
+    base = std::move(sel.mo);
+  }
+  sub.Stage("aggregate");
+  if (sc != nullptr) sc->result_facts = static_cast<int64_t>(base.num_facts());
+  return base;
+}
+
+namespace {
+
+/// Serial fold of the per-cube profile slots into the attribution totals.
+void FoldSubcubeProfiles(obs::OpProfile* profile) {
+  if (profile == nullptr) return;
+  for (const obs::SubcubeProfile& sc : profile->subcubes) {
+    profile->segments_total += sc.segments_total;
+    profile->segments_scanned += sc.segments_scanned;
+    profile->segments_pruned += sc.segments_pruned;
+    profile->rows_scanned += sc.rows_scanned;
+    profile->rows_skipped += sc.rows_skipped;
+  }
+}
+
+}  // namespace
+
+Result<std::vector<MultidimensionalObject>>
+SubcubeManager::QuerySubresultsLocked(
+    const PredExpr* pred, const std::vector<CategoryId>* target,
+    int64_t now_day, bool assume_synchronized, bool parallel, obs::Op* op,
+    std::shared_ptr<const vm::RollupProgram> rollup) const {
+  obs::OpProfile* profile = op != nullptr ? op->profile() : nullptr;
+  const QueryKernel k = CompileKernel(pred, target, now_day, std::move(rollup));
   // Figure 9's sources, once per query: Synchronize's placement plan is
   // σ[P_i] for every cube at once, and each cube's share of it,
   // pre-aggregated to G_i, replaces the stored cube. They are built before
@@ -705,7 +792,7 @@ SubcubeManager::QuerySubresultsLocked(
   // The plan runs the specification's compiled action programs.
   std::vector<Placement> placement;
   std::vector<FactTable> inputs;
-  bool compiled = prog != nullptr;
+  bool compiled = k.prog != nullptr;
   if (!assume_synchronized) {
     DWRED_ASSIGN_OR_RETURN(placement,
                            PlanPlacement(now_day, "cancel.query.subcube"));
@@ -726,84 +813,21 @@ SubcubeManager::QuerySubresultsLocked(
   // over the process-wide pool (only shared *reads*: dimensions, the stored
   // cubes or Figure 9's inputs, the compiled scan spec and programs).
   auto eval_one = [&](size_t i) -> Result<MultidimensionalObject> {
-    // Cooperative abort point, polled once per subcube before its rows are
-    // touched; the cube's full row count is charged against the query's row
-    // budget up front so an over-budget fan-out stops at subcube granularity.
-    // Evaluation is read-only, so aborting here leaves no state behind.
-    DWRED_RETURN_IF_ERROR(runtime::PollCancel("cancel.query.subcube"));
-    DWRED_RETURN_IF_ERROR(runtime::CurrentOpContext().ChargeRows(
-        static_cast<int64_t>(cubes_[i]->table.num_rows())));
-    static obs::Histogram& subquery_latency =
-        obs::MetricsRegistry::Global().GetHistogram(
-            "dwred_subcube_subquery_seconds", obs::DefaultLatencyBuckets(),
-            "wall time of one per-subcube subquery evaluation (Section 7.3)");
-    const Subcube& cube = *cubes_[i];
     // Each cube writes only its own profile slot — no atomics, deterministic.
     obs::SubcubeProfile* sc =
         profile != nullptr ? &profile->subcubes[i] : nullptr;
-    obs::Op sub(obs::TraceBuffer::Global().enabled()
-                    ? "subcube.subquery/cube=" + cube.name
-                    : std::string("subcube.subquery"),
-                subquery_latency, sc);
-    sub.AddField("cube", static_cast<int64_t>(i));
-
     // The source: the stored cube, or Figure 9's pre-aggregated input.
-    const FactTable& source = inputs.empty() ? cube.table : inputs[i];
-    scan::ScanPlan plan = scan::PlanTableScan(source, scan_spec);
-    if (sc != nullptr) {
-      sc->name = cube.name;
-      sc->segments_total = static_cast<int64_t>(plan.segments_total);
-      sc->segments_pruned = static_cast<int64_t>(plan.segments_pruned);
-      sc->segments_scanned =
-          static_cast<int64_t>(plan.segments_total - plan.segments_pruned);
-      sc->rows_skipped = static_cast<int64_t>(plan.rows_skipped);
-      if (!inputs.empty()) {
-        // The placement plan read every stored row of the cube; its
-        // segments join the input's in the slice (both moved the
-        // dwred_scan_* counters).
-        sc->rows_scanned = static_cast<int64_t>(cube.table.num_rows());
-        sc->segments_total += static_cast<int64_t>(placement[i].segments);
-        sc->segments_scanned += static_cast<int64_t>(placement[i].segments);
-      } else {
-        for (const exec::Shard& u : plan.units) {
-          sc->rows_scanned += static_cast<int64_t>(u.end - u.begin);
-        }
-      }
+    auto r = EvalSubcube(i, inputs.empty() ? cubes_[i]->table : inputs[i], 0,
+                         k, pred, target, now_day, sc);
+    if (sc != nullptr && !inputs.empty()) {
+      // The placement plan read every stored row of the cube; its segments
+      // join the input's in the slice (both moved the dwred_scan_*
+      // counters).
+      sc->rows_scanned = static_cast<int64_t>(cubes_[i]->table.num_rows());
+      sc->segments_total += static_cast<int64_t>(placement[i].segments);
+      sc->segments_scanned += static_cast<int64_t>(placement[i].segments);
     }
-    sub.Stage("scan");
-    // σ→α fused (operators.h: AggregateFromScan), or σ alone: weights off
-    // the storage segments through the compiled program, surviving rows
-    // folded into their output groups (or emitted under their logical-row
-    // names). A null predicate weighs every row 1.
-    MultidimensionalObject base(fact_type_, dims_, measures_);
-    if (target != nullptr) {
-      DWRED_ASSIGN_OR_RETURN(
-          base, AggregateFromScan(source, plan, pred, now_day,
-                                  SelectionApproach::kConservative, fact_type_,
-                                  dims_, measures_, *target, prog, rollup));
-    } else {
-      DWRED_ASSIGN_OR_RETURN(
-          SelectionResult sel,
-          SelectFromScan(source, plan, pred, now_day,
-                         SelectionApproach::kConservative, fact_type_, dims_,
-                         measures_, prog));
-      base = std::move(sel.mo);
-    }
-    sub.Stage("aggregate");
-    if (sc != nullptr) sc->result_facts = static_cast<int64_t>(base.num_facts());
-    return base;
-  };
-
-  // Serial fold of the per-cube slots into the attribution totals.
-  auto fold_profile = [&] {
-    if (profile == nullptr) return;
-    for (const obs::SubcubeProfile& sc : profile->subcubes) {
-      profile->segments_total += sc.segments_total;
-      profile->segments_scanned += sc.segments_scanned;
-      profile->segments_pruned += sc.segments_pruned;
-      profile->rows_scanned += sc.rows_scanned;
-      profile->rows_skipped += sc.rows_skipped;
-    }
+    return r;
   };
 
   std::vector<MultidimensionalObject> subresults;
@@ -828,9 +852,70 @@ SubcubeManager::QuerySubresultsLocked(
       subresults.push_back(std::move(slots[i]->value()));
     }
   }
-  if (!new_skey.empty()) cache_->InsertScanSpec(new_skey, scan_spec);
-  fold_profile();
+  if (!k.new_skey.empty()) cache_->InsertScanSpec(k.new_skey, k.scan_spec);
+  FoldSubcubeProfiles(profile);
   return subresults;
+}
+
+Result<SubcubeManager::Subresults> SubcubeManager::RefreshSubresults(
+    const cache::QueryEntry& entry, const PredExpr* pred,
+    const std::vector<CategoryId>* target, int64_t now_day, obs::Op* op,
+    std::shared_ptr<const vm::RollupProgram> rollup) const {
+  obs::OpProfile* profile = op != nullptr ? op->profile() : nullptr;
+  const QueryKernel k = CompileKernel(pred, target, now_day, std::move(rollup));
+  if (profile != nullptr) {
+    profile->compiled = k.prog != nullptr;
+    profile->fan_out = 1;
+    profile->subcubes.assign(1, obs::SubcubeProfile{});
+  }
+  // K0's subresult over the appended rows alone: the same kernel as a cold
+  // evaluation, its plan clipped to the rows the entry has not seen.
+  const FactTable& bottom = cubes_[0]->table;
+  DWRED_ASSIGN_OR_RETURN(
+      MultidimensionalObject delta,
+      EvalSubcube(0, bottom, entry.bottom_rows, k, pred, target, now_day,
+                  profile != nullptr ? &profile->subcubes[0] : nullptr));
+  // S_0 ⊕ Δ. The cold kernel visits K0's rows in ascending logical order and
+  // the appended rows come last, so S_0's groups keep their places, Δ's new
+  // groups follow in arrival order, and each group's measures fold in row
+  // order — the cold S_0 byte for byte (CombineMeasure is associative).
+  // Without a target the selection emits rows in that order: Δ appends.
+  const MultidimensionalObject& s0 = *entry.subresults[0];
+  MultidimensionalObject folded(fact_type_, dims_, measures_);
+  if (target != nullptr) {
+    std::vector<AggFn> aggs;
+    for (const auto& m : measures_) aggs.push_back(m.agg);
+    const size_t ndims = dims_.size();
+    const size_t nmeas = measures_.size();
+    storage::CellFold fold(ndims, aggs, s0.num_facts() + delta.num_facts());
+    for (const MultidimensionalObject* part : {&s0, &std::as_const(delta)}) {
+      for (FactId f = 0; f < part->num_facts(); ++f) {
+        fold.Add(part->FactCoords(f).data(), part->FactMeasures(f).data());
+      }
+    }
+    folded.ReserveFacts(fold.size());
+    for (size_t g = 0; g < fold.size(); ++g) {
+      folded.AppendFactUnchecked(fold.cells().subspan(g * ndims, ndims),
+                                 fold.measures().subspan(g * nmeas, nmeas));
+    }
+  } else {
+    folded = s0;
+    folded.ReserveFacts(delta.num_facts());
+    for (FactId f = 0; f < delta.num_facts(); ++f) {
+      FactId nf = folded.AppendFactUnchecked(delta.FactCoords(f),
+                                             delta.FactMeasures(f));
+      folded.SetFactName(nf, delta.FactName(f));
+    }
+  }
+  if (!k.new_skey.empty()) cache_->InsertScanSpec(k.new_skey, k.scan_spec);
+  FoldSubcubeProfiles(profile);
+  if (op != nullptr) {
+    op->AddCounter("rows_folded",
+                   static_cast<int64_t>(bottom.num_rows() - entry.bottom_rows));
+  }
+  Subresults subs = entry.subresults;
+  subs[0] = std::make_shared<const MultidimensionalObject>(std::move(folded));
+  return subs;
 }
 
 Result<MultidimensionalObject> SubcubeManager::Query(
@@ -881,8 +966,9 @@ Result<MultidimensionalObject> SubcubeManager::Query(
     return op.Fail(runtime::CountAbort(std::move(s)));
   }
 
-  const std::string key = cache::QueryFingerprint(
-      ctx_, pred, target, now_day, assume_synchronized, epoch);
+  const std::string key =
+      cache::QueryFingerprint(ctx_, pred, target, now_day, assume_synchronized,
+                              cache_->layout_epoch(), epoch);
   if (prof != nullptr) {
     prof->epoch = epoch;
     prof->cache =
@@ -892,11 +978,14 @@ Result<MultidimensionalObject> SubcubeManager::Query(
     // (bench_query_cache.cc).
     if (profile != nullptr) prof->fingerprint = obs::Fnv1a64(key);
   }
-  if (std::shared_ptr<const MultidimensionalObject> hit =
-          cache_->LookupQuery(key)) {
+  const size_t bottom_rows = cubes_[0]->table.num_rows();
+  std::string extents = cache::Extents(dims_);
+  std::shared_ptr<const cache::QueryEntry> cached =
+      cache_->LookupQuery(key, bottom_rows, extents);
+  if (cached != nullptr && cached->bottom_rows == bottom_rows) {
     op.AddField("cache_hit", int64_t{1});
     op.Stage("lookup");
-    MultidimensionalObject result = *hit;
+    MultidimensionalObject result = *cached->answer;
     op.Stage("materialize");
     if (prof != nullptr) {
       prof->cache = obs::CacheOutcome::kHit;
@@ -908,31 +997,46 @@ Result<MultidimensionalObject> SubcubeManager::Query(
 
   std::shared_ptr<const vm::RollupProgram> roll;
   if (target != nullptr) roll = CompileRollup(*target);
-  auto subs_r = QuerySubresultsLocked(pred, target, now_day,
-                                      assume_synchronized, parallel, &op,
-                                      roll);
-  if (!subs_r.ok()) return op.Fail(runtime::CountAbort(subs_r.status()));
-  std::vector<MultidimensionalObject> subs = subs_r.take();
-  // Wall clock of the whole fan-out; each subcube's own scan / aggregate
-  // laps sit in its slice of the profile.
-  op.Stage("subqueries_wall");
+  Subresults subs;
+  if (cached != nullptr) {
+    // A maintained answer from before the latest inserts: fold K0's
+    // appended rows into its S_0. An abort ends the query like a cold one
+    // (the stale entry stays); any other error evaluates cold below.
+    auto refreshed =
+        RefreshSubresults(*cached, pred, target, now_day, &op, roll);
+    if (!refreshed.ok() && runtime::IsAbort(refreshed.status().code())) {
+      return op.Fail(runtime::CountAbort(refreshed.status()));
+    }
+    if (refreshed.ok()) {
+      subs = refreshed.take();
+      if (prof != nullptr) prof->cache = obs::CacheOutcome::kRefresh;
+    }
+    op.Stage("refresh");
+  }
+  if (subs.empty()) {
+    auto subs_r = QuerySubresultsLocked(pred, target, now_day,
+                                        assume_synchronized, parallel, &op,
+                                        roll);
+    if (!subs_r.ok()) return op.Fail(runtime::CountAbort(subs_r.status()));
+    for (MultidimensionalObject& sub : subs_r.value()) {
+      subs.push_back(
+          std::make_shared<const MultidimensionalObject>(std::move(sub)));
+    }
+    // Wall clock of the whole fan-out; each subcube's own scan / aggregate
+    // laps sit in its slice of the profile.
+    op.Stage("subqueries_wall");
+  }
   // Union of disjoint subresults ...
   MultidimensionalObject unioned(fact_type_, dims_, measures_);
-  std::vector<ValueId> cell(dims_.size());
-  std::vector<int64_t> meas(measures_.size());
   for (const auto& s : subs) {
-    for (FactId f = 0; f < s.num_facts(); ++f) {
-      for (size_t d = 0; d < dims_.size(); ++d) {
-        cell[d] = s.Coord(f, static_cast<DimensionId>(d));
-      }
-      for (size_t m = 0; m < measures_.size(); ++m) {
-        meas[m] = s.Measure(f, static_cast<MeasureId>(m));
-      }
-      auto res = unioned.AddFact(cell, meas);
+    for (FactId f = 0; f < s->num_facts(); ++f) {
+      auto res = unioned.AddFact(s->FactCoords(f), s->FactMeasures(f));
       if (!res.ok()) return res.status();
     }
   }
-  std::exchange(subs, {});  // freed inside the stage, not in the close
+  // A synchronized answer keeps its subresults to be maintained; a Figure 9
+  // answer's are freed inside the stage, not in the close.
+  if (!assume_synchronized) std::exchange(subs, {});
   // ... then one final combining aggregation (distributivity makes the
   // two-step aggregation exact, Section 7.3).
   if (target) {
@@ -944,8 +1048,10 @@ Result<MultidimensionalObject> SubcubeManager::Query(
   uint64_t version_check = 0;
   for (const auto& c : cubes_) version_check += c->table.content_version();
   DWRED_CHECK(version_check == version_sum);
-  cache_->InsertQuery(key,
-                      std::make_shared<MultidimensionalObject>(unioned));
+  cache_->InsertQuery(
+      key, std::make_shared<const cache::QueryEntry>(cache::QueryEntry{
+               std::make_shared<const MultidimensionalObject>(unioned),
+               std::move(subs), bottom_rows, std::move(extents)}));
   // The union + final combining aggregation materializes the result.
   op.Stage("materialize");
   if (prof != nullptr) {

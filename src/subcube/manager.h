@@ -78,9 +78,9 @@ class SubcubeManager {
   /// context against which predicates and granularity lists are parsed.
   const MultidimensionalObject& context() const { return ctx_; }
 
-  /// The warehouse's epoch counter, snapshot lock, and query/ScanSpec caches
-  /// (src/cache). Every mutating pass bumps the epoch under the exclusive
-  /// lock; queries run under the shared lock against the epoch they pinned.
+  /// The warehouse's epoch counters, snapshot lock, and caches (src/cache).
+  /// Every mutating pass bumps the epoch under the exclusive lock; queries
+  /// run under the shared lock against the epoch they pinned.
   cache::WarehouseCache& warehouse_cache() const { return *cache_; }
 
   /// Current warehouse epoch (see cache::WarehouseCache).
@@ -141,15 +141,20 @@ class SubcubeManager {
   /// the epoch and sealed-segment manifest observed at entry cannot change
   /// until the result is built, so queries run concurrently with writers
   /// without byte-level divergence. When `pinned_epoch` is non-null it
-  /// receives the epoch this query evaluated against. Results and compiled
-  /// ScanSpecs are served from the epoch-keyed caches when enabled
-  /// (docs/CACHING.md); a cache hit is byte-identical to re-evaluation.
+  /// receives the (data) epoch this query evaluated against. Results and
+  /// compiled artifacts are served from the caches when enabled
+  /// (docs/CACHING.md); a cache hit is byte-identical to re-evaluation. A
+  /// synchronized answer cached before inserts into the bottom cube is
+  /// refreshed: only the appended rows are evaluated and folded into the
+  /// bottom cube's cached subresult, then the final combine reruns — byte-
+  /// identical to a cold evaluation.
   /// A non-null `profile` receives the query's EXPLAIN profile — pinned
-  /// epoch, cache outcome + fingerprint, per-subcube fan-out, segments
-  /// scanned vs. pruned, rows skipped, per-stage wall times — when profiling
-  /// is enabled (DWRED_PROFILE_DISABLED unset; see obs/profile.h). On the
-  /// pruned path the profile's segment/row totals equal the
-  /// dwred_scan_segments_* / dwred_scan_rows_skipped counter deltas exactly.
+  /// epoch, cache outcome (hit, miss, or refresh with its rows_folded) +
+  /// fingerprint, per-subcube fan-out, segments scanned vs. pruned, rows
+  /// skipped, per-stage wall times — when profiling is enabled
+  /// (DWRED_PROFILE_DISABLED unset; see obs/profile.h). On the pruned path
+  /// the profile's segment/row totals equal the dwred_scan_segments_* /
+  /// dwred_scan_rows_skipped counter deltas exactly.
   Result<MultidimensionalObject> Query(const PredExpr* pred,
                                        const std::vector<CategoryId>* target,
                                        int64_t now_day,
@@ -225,10 +230,37 @@ class SubcubeManager {
       const std::vector<Placement>& placement) const;
 
   /// The rollup tables for one target granularity, compiled once and cached
-  /// per (granularity, epoch) in the program LRU. Null when a dimension is
+  /// per (granularity, extents) in the program LRU. Null when a dimension is
   /// too large to enumerate (per-fact walks instead).
   std::shared_ptr<const vm::RollupProgram> CompileRollup(
       const std::vector<CategoryId>& target) const;
+
+  /// What one query's per-cube evaluations share, compiled (or taken from
+  /// the caches) once per query.
+  struct QueryKernel {
+    scan::ScanSpec scan_spec = scan::ScanSpec::All();  ///< segment pruning
+    /// Set when scan_spec was compiled here: the caller caches it once the
+    /// evaluation succeeded, so an aborted query leaves the cache as found.
+    std::string new_skey;
+    std::shared_ptr<const vm::PredProgram> prog;  ///< null: interpret
+    std::shared_ptr<const vm::RollupProgram> rollup;
+  };
+  QueryKernel CompileKernel(const PredExpr* pred,
+                            const std::vector<CategoryId>* target,
+                            int64_t now_day,
+                            std::shared_ptr<const vm::RollupProgram> rollup)
+      const;
+
+  /// Subcube `i`'s subresult over rows [first_row, num_rows) of `source`
+  /// (the stored cube, or its Figure 9 input): pruned scan plan → fused σ→α
+  /// (σ alone without a target), as one "subcube.subquery" slice with
+  /// "scan" / "aggregate" stages filling `sc` when non-null. Polls
+  /// cancel.query.subcube and charges the rows to scan to the row budget.
+  Result<MultidimensionalObject> EvalSubcube(
+      size_t i, const FactTable& source, size_t first_row,
+      const QueryKernel& k, const PredExpr* pred,
+      const std::vector<CategoryId>* target, int64_t now_day,
+      obs::SubcubeProfile* sc) const;
 
   /// QuerySubresults body; the caller must hold the shared snapshot lock
   /// (the lock is not recursive, so Query cannot call the public wrapper).
@@ -244,6 +276,20 @@ class SubcubeManager {
       int64_t now_day, bool assume_synchronized, bool parallel,
       obs::Op* op = nullptr,
       std::shared_ptr<const vm::RollupProgram> rollup = nullptr) const;
+
+  /// The per-subcube subresults of a synchronized answer, shared with its
+  /// maintained cache entry (cache::QueryEntry).
+  using Subresults = std::vector<std::shared_ptr<const MultidimensionalObject>>;
+
+  /// The subresults of a maintained `entry` brought up to K0's current rows:
+  /// EvalSubcube over the rows appended since the entry was computed, folded
+  /// into its S_0 by a storage::CellFold (appended, without a target); S_1..
+  /// S_n are shared unchanged. Fills the query's profile as a one-cube
+  /// fan-out with a rows_folded counter.
+  Result<Subresults> RefreshSubresults(
+      const cache::QueryEntry& entry, const PredExpr* pred,
+      const std::vector<CategoryId>* target, int64_t now_day, obs::Op* op,
+      std::shared_ptr<const vm::RollupProgram> rollup) const;
 
   std::string fact_type_;
   std::vector<std::shared_ptr<Dimension>> dims_;

@@ -1,18 +1,21 @@
-// Cache-coherence differential tests (docs/CACHING.md): the epoch-versioned
-// query cache must never change query bytes — only their cost. The
-// interleaving test drives query → insert → query → synchronize → query
-// across epochs, thread counts {1, 4}, and cache on/off, asserting
-// byte-for-byte identical transcripts; the NOW-advance case pins that a
-// NOW-relative predicate re-evaluated at a later day never sees a stale
-// window. The concurrent test (also in the TSan suite, tools/run_tier1.sh)
-// races epoch-pinned readers against mutating writers: any two reads that
-// pinned the same epoch must agree byte for byte.
+// Cache-coherence differential tests (docs/CACHING.md): the query cache
+// must never change query bytes — only their cost. The interleaving test
+// drives query → insert → query → synchronize → query across epochs, thread
+// counts {1, 4}, and cache on/off, asserting byte-for-byte identical
+// transcripts; the NOW-advance case pins that a NOW-relative predicate
+// re-evaluated at a later day never sees a stale window. The maintained-
+// answer differential checks every answer refreshed after inserts against a
+// cache-off cold recompute over generated specifications on two schemas.
+// The concurrent test (also in the TSan suite, tools/run_tier1.sh) races
+// epoch-pinned readers against mutating writers: any two reads that pinned
+// the same epoch must agree byte for byte.
 
 #include <cstdlib>
 
 #include <atomic>
 #include <functional>
 #include <map>
+#include <optional>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -23,12 +26,18 @@
 #include <gtest/gtest.h>
 
 #include "chrono/civil.h"
+#include "chrono/granule.h"
+#include "common/rng.h"
 #include "exec/thread_pool.h"
 #include "mdm/paper_example.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "paper_actions.h"
 #include "spec/parser.h"
 #include "subcube/manager.h"
+#include "testing/spec_gen.h"
+#include "workload/clickstream.h"
+#include "workload/retail.h"
 
 namespace dwred {
 namespace {
@@ -196,6 +205,215 @@ TEST_F(CacheCoherenceTest, RepeatHitsAdvanceCountersOnlyWhenEnabled) {
   auto fourth = mgr->Query(nullptr, &gran, now, /*assume_synchronized=*/false);
   ASSERT_TRUE(fourth.ok());
   EXPECT_NE(Fingerprint(first.value()), Fingerprint(fourth.value()));
+}
+
+/// One generated warehouse of the maintained-answer differential.
+struct Schema {
+  std::string name;
+  std::unique_ptr<MultidimensionalObject> mo;  ///< the initial bottom facts
+  const char* target;                          ///< granularity list
+  int64_t start = 0;                           ///< first fact day
+  int span_days = 0;
+};
+
+Schema MakeSchema(bool retail) {
+  Schema s;
+  if (retail) {
+    RetailConfig cfg;
+    cfg.seed = 11;
+    cfg.num_categories = 3;
+    cfg.brands_per_category = 3;
+    cfg.skus_per_brand = 3;
+    cfg.num_regions = 2;
+    cfg.cities_per_region = 2;
+    cfg.stores_per_city = 2;
+    cfg.span_days = 2 * 365;
+    cfg.num_sales = 1200;
+    RetailWorkload w = MakeRetail(cfg);
+    s.name = "retail";
+    s.mo = std::move(w.mo);
+    s.target = "Time.quarter, Product.brand, Store.region";
+    s.start = DaysFromCivil(cfg.start);
+    s.span_days = cfg.span_days;
+  } else {
+    ClickstreamConfig cfg;
+    cfg.seed = 13;
+    cfg.num_domains = 8;
+    cfg.urls_per_domain = 3;
+    cfg.span_days = 2 * 365;
+    cfg.num_clicks = 1200;
+    ClickstreamWorkload w = MakeClickstream(cfg);
+    s.name = "clickstream";
+    s.mo = std::move(w.mo);
+    s.target = "Time.month, URL.domain";
+    s.start = DaysFromCivil(cfg.start);
+    s.span_days = cfg.span_days;
+  }
+  return s;
+}
+
+/// `n` bottom facts copied from random facts of `base` (so they intern
+/// nothing), every fifth mapped to ⊤ in one dimension. With `new_day`, the
+/// time coordinate is that day instead, interned now.
+MultidimensionalObject MakeBatch(const MultidimensionalObject& base,
+                                 SplitMix64* rng, size_t n,
+                                 std::optional<int64_t> new_day) {
+  MultidimensionalObject batch(base.fact_type(), base.dimensions(),
+                               base.measure_types());
+  const size_t ndims = base.num_dimensions();
+  for (size_t k = 0; k < n; ++k) {
+    const FactId src = static_cast<FactId>(rng->Below(base.num_facts()));
+    std::vector<ValueId> cell(base.FactCoords(src).begin(),
+                              base.FactCoords(src).end());
+    std::vector<int64_t> meas(base.FactMeasures(src).begin(),
+                              base.FactMeasures(src).end());
+    for (int64_t& m : meas) m += static_cast<int64_t>(rng->Below(5));
+    for (size_t d = 0; d < ndims; ++d) {
+      Dimension& dim = *base.dimension(static_cast<DimensionId>(d));
+      if (new_day && dim.is_time()) {
+        cell[d] = dim.EnsureTimeValue(DayGranule(*new_day)).value();
+      }
+    }
+    if (k % 5 == 4) {
+      const size_t d = rng->Below(ndims);
+      cell[d] = base.dimension(static_cast<DimensionId>(d))->top_value();
+    }
+    EXPECT_TRUE(batch.AddFact(cell, meas).ok());
+  }
+  return batch;
+}
+
+// Every answer a maintained entry serves after inserts — α and σ-only,
+// predicated and not, across several inserts between reads, ⊤-mapped
+// facts, inserts that intern new day and month values, and synchronizations
+// and specification changes between inserts — is byte-identical to a
+// cache-off cold recompute, at 1 and 4 threads, over generated
+// specifications on the clickstream and retail schemas. Reads after an
+// insert that interned nothing must take the refresh path.
+TEST_F(CacheCoherenceTest, MaintainedAnswersEqualColdRecomputeAfterEveryInsert) {
+  obs::Counter& refreshes = obs::MetricsRegistry::Global().GetCounter(
+      "dwred_cache_query_refreshes");
+  for (bool retail : {false, true}) {
+    for (int threads : {1, 4}) {
+      exec::ThreadPool::ResetGlobal(threads);
+      const bool parallel = threads > 1;
+      Schema schema = MakeSchema(retail);
+      const MultidimensionalObject& mo = *schema.mo;
+      testing::SpecGenOptions opts;
+      opts.num_actions = 3;
+      opts.sound_chain = true;
+      opts.deletion_prob = 0.0;
+      auto spec = testing::GenerateSpec(mo, retail ? 5 : 3, opts);
+      ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+      auto m = SubcubeManager::Create(
+          mo.fact_type(), mo.dimensions(),
+          std::vector<MeasureType>(mo.measure_types()), spec.take());
+      ASSERT_TRUE(m.ok()) << m.status().ToString();
+      auto mgr = std::make_unique<SubcubeManager>(m.take());
+      ASSERT_TRUE(mgr->InsertBottomFacts(mo).ok());
+      const int64_t now = schema.start + schema.span_days - 20;
+      ASSERT_TRUE(mgr->Synchronize(now).ok());
+      ASSERT_GT(mgr->num_subcubes(), 1u) << schema.name;
+
+      auto window =
+          ParsePredicate(mo, "NOW - 12 months <= Time.month").take();
+      // A day bound just past the facts: a ⊤-mapped time coordinate
+      // satisfies it until a later day is interned (Definition 5 drills ⊤
+      // down to the materialized days).
+      const int64_t last_day = schema.start + schema.span_days - 1;
+      const CivilDate bound = CivilFromDays(last_day + 10);
+      auto day_atom =
+          ParsePredicate(mo, "Time.day <= " + std::to_string(bound.year) +
+                                 "/" + std::to_string(bound.month) + "/" +
+                                 std::to_string(bound.day))
+              .take();
+      auto target = ParseGranularityList(mo, schema.target).take();
+      struct Shape {
+        const PredExpr* pred;
+        const std::vector<CategoryId>* target;
+        bool synced;
+      };
+      const Shape shapes[] = {{window.get(), &target, true},
+                              {day_atom.get(), &target, true},
+                              {nullptr, &target, true},
+                              {window.get(), nullptr, true},
+                              {window.get(), &target, false}};
+
+      // Reads every shape with the cache on, then recomputes it cold.
+      // `expect_refresh`: the synchronized shapes must be refreshed.
+      auto read_all = [&](const std::string& step, bool expect_refresh) {
+        for (size_t q = 0; q < std::size(shapes); ++q) {
+          const Shape& sh = shapes[q];
+          const std::string what = schema.name + " threads=" +
+                                   std::to_string(threads) + " " + step +
+                                   " shape " + std::to_string(q);
+          const uint64_t refreshes_before = refreshes.Value();
+          obs::OpProfile prof;
+          auto warm = mgr->Query(sh.pred, sh.target, now, sh.synced, parallel,
+                                 nullptr, &prof);
+          ASSERT_TRUE(warm.ok()) << what << ": " << warm.status().ToString();
+          ::setenv("DWRED_CACHE_DISABLED", "1", 1);
+          auto cold = mgr->Query(sh.pred, sh.target, now, sh.synced, parallel);
+          ::unsetenv("DWRED_CACHE_DISABLED");
+          ASSERT_TRUE(cold.ok()) << what << ": " << cold.status().ToString();
+          EXPECT_EQ(Fingerprint(warm.value()), Fingerprint(cold.value()))
+              << what << ": maintained answer diverged from the cold one";
+          if (sh.pred == nullptr) {
+            EXPECT_GT(warm.value().num_facts(), 0u) << what;
+          }
+          if (expect_refresh && sh.synced) {
+            EXPECT_EQ(refreshes.Value(), refreshes_before + 1) << what;
+            if (obs::ProfilingEnabled()) {
+              EXPECT_EQ(prof.cache, obs::CacheOutcome::kRefresh) << what;
+            }
+          }
+        }
+      };
+
+      SplitMix64 rng(retail ? 71 : 73);
+      read_all("initial", false);
+      for (int round = 0; round < 8; ++round) {
+        const std::string step = "round " + std::to_string(round);
+        switch (round) {
+          case 2: {
+            // New days past the span, one of them in a new month: the
+            // extents change, so the next reads evaluate afresh.
+            for (int64_t day : {last_day + 1, last_day + 40}) {
+              MultidimensionalObject b = MakeBatch(mo, &rng, 15, day);
+              ASSERT_TRUE(mgr->InsertBottomFacts(b).ok()) << step;
+            }
+            read_all(step + " interning", false);
+            break;
+          }
+          case 4:
+            ASSERT_TRUE(mgr->InsertBottomFacts(
+                               MakeBatch(mo, &rng, 20, std::nullopt))
+                            .ok());
+            ASSERT_TRUE(mgr->Synchronize(now + 30).ok()) << step;
+            read_all(step + " synchronized", false);
+            break;
+          case 6: {
+            auto next = testing::GenerateSpec(mo, retail ? 8 : 9, opts);
+            ASSERT_TRUE(next.ok()) << next.status().ToString();
+            ASSERT_TRUE(mgr->ChangeSpecification(next.take(), now).ok());
+            read_all(step + " spec change", false);
+            break;
+          }
+          default:
+            break;
+        }
+        // One to three inserts that intern nothing, then every read
+        // refreshes its maintained answer.
+        for (int k = 0; k <= round % 3; ++k) {
+          ASSERT_TRUE(mgr->InsertBottomFacts(
+                             MakeBatch(mo, &rng, 10 + 7 * k, std::nullopt))
+                          .ok())
+              << step;
+        }
+        read_all(step, true);
+      }
+    }
+  }
 }
 
 // Readers race writers under the snapshot lock: every read pins an epoch,

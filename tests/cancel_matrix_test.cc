@@ -70,6 +70,13 @@ std::map<std::string, std::vector<int64_t>> FactMap(
   return out;
 }
 
+/// The facts in order, one line each: the answer's bytes.
+std::string Render(const MultidimensionalObject& mo) {
+  std::string out;
+  for (FactId f = 0; f < mo.num_facts(); ++f) out += mo.FormatFact(f) + "\n";
+  return out;
+}
+
 int64_t CounterValue(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name, "").Value();
 }
@@ -83,6 +90,7 @@ struct StateProbe {
   size_t cache_bytes = 0;
   int64_t query_hits = 0;
   int64_t query_misses = 0;
+  int64_t query_refreshes = 0;
 
   static StateProbe Of(const DurableWarehouse& dw) {
     StateProbe p;
@@ -99,14 +107,17 @@ struct StateProbe {
     }
     p.query_hits = CounterValue("dwred_cache_query_hits");
     p.query_misses = CounterValue("dwred_cache_query_misses");
+    p.query_refreshes = CounterValue("dwred_cache_query_refreshes");
     return p;
   }
 
-  /// `allowed_misses`: a query aborted *mid-evaluation* (after its cache
-  /// lookup) honestly counts that one miss; an abort on entry — or any
-  /// non-query op — moves no cache counter at all (see cache.h).
+  /// `allowed_misses` / `allowed_refreshes`: a query aborted
+  /// *mid-evaluation* (after its cache lookup) honestly counts the one miss
+  /// or refresh that lookup found; an abort on entry — or any non-query op —
+  /// moves no cache counter at all (see cache.h).
   void ExpectUnchangedFrom(const StateProbe& before, const std::string& what,
-                           int64_t allowed_misses = 0) const {
+                           int64_t allowed_misses = 0,
+                           int64_t allowed_refreshes = 0) const {
     EXPECT_EQ(epoch, before.epoch) << what << ": epoch bumped by aborted op";
     EXPECT_EQ(query_entries, before.query_entries) << what;
     EXPECT_EQ(scanspec_entries, before.scanspec_entries) << what;
@@ -115,6 +126,8 @@ struct StateProbe {
         << what << ": aborted query moved the hit counter";
     EXPECT_EQ(query_misses, before.query_misses + allowed_misses)
         << what << ": aborted query miss-count drifted";
+    EXPECT_EQ(query_refreshes, before.query_refreshes + allowed_refreshes)
+        << what << ": aborted query refresh-count drifted";
   }
 };
 
@@ -497,6 +510,76 @@ TEST_P(CancelMatrixTest, ShedQueryFillsProfileOutcome) {
   }
   StateProbe::Of(dw).ExpectUnchangedFrom(before, "shed", 0);
   EXPECT_TRUE(RunQuery(dw, GetParam() > 1).ok());
+}
+
+// The refresh path: a synchronized answer cached before an insert is
+// refreshed by evaluating K0's appended rows, which crosses
+// cancel.query.subcube once. A cancel there ends the query like any abort —
+// the stale entry stays with its bytes and the LRU budget untouched, only
+// the one refresh its lookup found is counted — and the next lookup
+// refreshes the same entry to the bytes a cold evaluation produces.
+TEST_P(CancelMatrixTest, AbortedRefreshLeavesStaleEntry) {
+  const bool parallel = GetParam() > 1;
+  const std::string dir = base_ + "/refresh";
+  auto dw_r = BuildSubcubeBase(dir);
+  ASSERT_TRUE(dw_r.ok()) << dw_r.status().ToString();
+  DurableWarehouse& dw = *dw_r.value();
+  ASSERT_TRUE(dw.SynchronizePass(Now2000()).ok());
+  const MultidimensionalObject& ctx = dw.subcubes()->context();
+  auto pred = ParsePredicate(ctx, "URL.domain_grp = .com").take();
+  auto gran = ParseGranularityList(ctx, "Time.month, URL.domain").take();
+  auto query = [&]() {
+    return dw.subcubes()->Query(pred.get(), &gran, Now2000(),
+                                /*assume_synchronized=*/true, parallel);
+  };
+  ASSERT_TRUE(query().ok());  // caches the maintained answer
+  IspExample batch = MakeIspExample();
+  ASSERT_TRUE(dw.InsertFacts(*batch.mo).ok());  // interns no value
+
+  // The cold bytes, with the cache off for this one query only (the suite
+  // also runs with DWRED_CACHE_DISABLED set).
+  const bool cached = cache::Enabled();
+  ::setenv("DWRED_CACHE_DISABLED", "1", 1);
+  auto cold = query();
+  if (cached) ::unsetenv("DWRED_CACHE_DISABLED");
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+
+  const StateProbe before = StateProbe::Of(dw);
+  EXPECT_EQ(before.query_entries, cached ? 1u : 0u);
+  testing::FaultInjector::Global().Arm("cancel.query.subcube", 1,
+                                       testing::FaultMode::kCancel);
+  auto aborted = query();
+  ASSERT_TRUE(testing::FaultInjector::Global().fired());
+  testing::FaultInjector::Global().Disarm();
+  ASSERT_EQ(aborted.status().code(), StatusCode::kCancelled)
+      << aborted.status().ToString();
+  StateProbe::Of(dw).ExpectUnchangedFrom(before, "aborted refresh",
+                                         /*allowed_misses=*/0,
+                                         /*allowed_refreshes=*/cached ? 1 : 0);
+
+  // The retry refreshes the entry the abort left, to the cold bytes; the
+  // refresh evaluates one cube, so a cancel armed for a second subcube
+  // never fires (a disabled cache evaluates every cube: nothing is armed).
+  if (cached) {
+    testing::FaultInjector::Global().Arm("cancel.query.subcube", 2,
+                                         testing::FaultMode::kCancel);
+  }
+  obs::OpProfile prof;
+  auto retry = dw.subcubes()->Query(pred.get(), &gran, Now2000(), true,
+                                    parallel, nullptr, &prof);
+  const bool fired = testing::FaultInjector::Global().fired();
+  testing::FaultInjector::Global().Disarm();
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_EQ(Render(retry.value()), Render(cold.value()));
+  if (cached) {
+    EXPECT_FALSE(fired);
+    EXPECT_EQ(CounterValue("dwred_cache_query_refreshes"),
+              before.query_refreshes + 2);
+    if (obs::ProfilingEnabled()) {
+      EXPECT_EQ(prof.cache, obs::CacheOutcome::kRefresh);
+    }
+  }
+  EXPECT_EQ(CounterValue("dwred_cache_query_hits"), before.query_hits);
 }
 
 TEST_P(CancelMatrixTest, CancelCountersMoveOncePerAbortedOp) {

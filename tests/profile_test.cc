@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -416,6 +417,119 @@ TEST_F(ProfileTest, StageTimesTileEachOperation) {
     }
   }
   ExpectStagesTile("reduce", pass->duration_us, reduce_stages);
+}
+
+// A root operation above the slow-log threshold reports one duration: its
+// latency-histogram sample, its trace span and its EXPLAIN total are the
+// same wall time, even though the flight recorder formats and stores its
+// entry while the operation closes.
+TEST_F(ProfileTest, RootOpReportsOneDuration) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "built with DWRED_OBS_DISABLED";
+  IspExample ex;
+  std::unique_ptr<SubcubeManager> mgr = MakeWarehouse(&ex);
+  const int64_t now = DaysFromCivil({2000, 11, 5});
+  auto gran = ParseGranularityList(*ex.mo, "Time.month, URL.domain").take();
+  ::setenv("DWRED_SLOWLOG_MIN_US", "0", 1);  // every root op is recorded
+  obs::FlightRecorder::Global().ReloadConfigFromEnv();
+  obs::TraceBuffer::Global().Enable(256);
+  auto& registry = obs::MetricsRegistry::Global();
+
+  struct RootOp {
+    const char* span;
+    const char* histogram;
+    std::function<Status(obs::OpProfile*)> run;
+  };
+  const RootOp ops[] = {
+      {"subcube.sync", "dwred_subcube_sync_seconds",
+       [&](obs::OpProfile* p) { return mgr->Synchronize(now, p).status(); }},
+      {"subcube.query", "dwred_subcube_query_seconds",
+       [&](obs::OpProfile* p) {
+         return mgr->Query(nullptr, &gran, now, /*assume_synchronized=*/true,
+                           /*parallel=*/false, nullptr, p)
+             .status();
+       }},
+  };
+  for (const RootOp& op : ops) {
+    SCOPED_TRACE(op.span);
+    obs::Histogram& latency =
+        registry.GetHistogram(op.histogram, obs::DefaultLatencyBuckets());
+    obs::FlightRecorder::Global().Clear();
+    obs::TraceBuffer::Global().Clear();
+    const uint64_t count = latency.Count();
+    const double sum = latency.Sum();
+    obs::OpProfile profile;
+    ASSERT_TRUE(op.run(&profile).ok());
+    ASSERT_EQ(latency.Count(), count + 1);
+    const double sample_us = (latency.Sum() - sum) * 1e6;
+
+    const obs::TraceEvent* span = nullptr;
+    std::vector<obs::TraceEvent> events = obs::TraceBuffer::Global().Snapshot();
+    for (const obs::TraceEvent& ev : events) {
+      if (ev.name == op.span && ev.parent_id == 0) span = &ev;
+    }
+    ASSERT_NE(span, nullptr);
+    std::vector<obs::FlightEntry> entries = obs::FlightRecorder::Global().LastN();
+    ASSERT_EQ(entries.size(), 1u);
+
+    EXPECT_EQ(span->duration_us, profile.total_us);
+    EXPECT_EQ(entries[0].wall_us, profile.total_us);
+    EXPECT_GE(sample_us, static_cast<double>(profile.total_us) - 0.5);
+    EXPECT_LT(sample_us, static_cast<double>(profile.total_us) + 1.0);
+  }
+}
+
+// After an insert into the bottom cube, a maintained synchronized answer is
+// refreshed: EXPLAIN names the outcome and the rows folded in, the refresh
+// counter moves instead of the hit or miss counter, and the stages tile.
+TEST_F(ProfileTest, ExplainReportsRefreshAndRowsFolded) {
+  IspExample ex;
+  std::unique_ptr<SubcubeManager> mgr = MakeWarehouse(&ex);
+  const int64_t now = DaysFromCivil({2000, 11, 5});
+  ASSERT_TRUE(mgr->Synchronize(now).ok());
+  auto gran = ParseGranularityList(*ex.mo, "Time.month, URL.domain").take();
+  ASSERT_TRUE(mgr->Query(nullptr, &gran, now, /*assume_synchronized=*/true)
+                  .ok());
+
+  MultidimensionalObject batch("Click", ex.mo->dimensions(),
+                               std::vector<MeasureType>(ex.mo->measure_types()));
+  for (FactId f : {0u, 3u}) {
+    ASSERT_TRUE(batch.AddFact(ex.mo->FactCoords(f), ex.mo->FactMeasures(f)).ok());
+  }
+  ASSERT_TRUE(mgr->InsertBottomFacts(batch).ok());
+
+  auto& registry = obs::MetricsRegistry::Global();
+  obs::Counter& hits = registry.GetCounter("dwred_cache_query_hits");
+  obs::Counter& misses = registry.GetCounter("dwred_cache_query_misses");
+  obs::Counter& refreshes = registry.GetCounter("dwred_cache_query_refreshes");
+  const uint64_t hits0 = hits.Value(), misses0 = misses.Value(),
+                 refreshes0 = refreshes.Value();
+  obs::OpProfile profile;
+  ASSERT_TRUE(mgr->Query(nullptr, &gran, now, /*assume_synchronized=*/true,
+                         /*parallel=*/false, nullptr, &profile)
+                  .ok());
+  EXPECT_EQ(hits.Value(), hits0);
+  EXPECT_EQ(misses.Value(), misses0);
+  EXPECT_EQ(refreshes.Value(), refreshes0 + 1);
+  ASSERT_EQ(profile.cache, obs::CacheOutcome::kRefresh);
+  const std::string text = profile.Render();
+  EXPECT_NE(text.find("refresh (fingerprint"), std::string::npos) << text;
+  EXPECT_NE(text.find("rows_folded:"), std::string::npos) << text;
+  const auto folded =
+      std::find(profile.counters.begin(), profile.counters.end(),
+                std::pair<std::string, int64_t>("rows_folded", 2));
+  EXPECT_NE(folded, profile.counters.end()) << text;
+  EXPECT_EQ(profile.fan_out, 1);
+  ASSERT_EQ(profile.subcubes.size(), 1u);
+  EXPECT_EQ(profile.subcubes[0].name, "K0");
+  EXPECT_EQ(profile.rows_scanned, 2);
+  ExpectStagesTile("refresh", profile.total_us, profile.stages);
+
+  // The refreshed entry is current: the next read is a plain hit.
+  obs::OpProfile again;
+  ASSERT_TRUE(mgr->Query(nullptr, &gran, now, /*assume_synchronized=*/true,
+                         /*parallel=*/false, nullptr, &again)
+                  .ok());
+  EXPECT_EQ(again.cache, obs::CacheOutcome::kHit);
 }
 
 // An unsynchronized (Figure 9) query closes a preaggregate stage right after

@@ -206,6 +206,68 @@ TEST_F(ServerTest, WireWorkloadCrcEqualsEmbeddedWorkload) {
   EXPECT_EQ(WarehouseCrc(*mgr_), WarehouseCrc(*twin));
 }
 
+// An insert decodes its CSV by lookup alone and interns only when a time
+// value is new. Both branches land the same facts as the embedded twin: the
+// first insert names two days the warehouse has never seen (the decode is
+// redone, interning, under the exclusive snapshot lock); the repeat names
+// only interned values, grows no dimension, and so leaves the maintained
+// answer of the served query to be refreshed rather than recomputed.
+TEST_F(ServerTest, InsertInternsOnlyNewTimeValues) {
+  std::unique_ptr<SubcubeManager> twin = BuildWarehouse(now_day_);
+  ASSERT_NE(twin, nullptr);
+  const Dimension& time = *mgr_->context().dimension(0);
+  ASSERT_TRUE(time.is_time());
+  {
+    // The lookup-only decode reports the unknown days and interns nothing.
+    const MultidimensionalObject& ctx = mgr_->context();
+    MultidimensionalObject batch(ctx.fact_type(), ctx.dimensions(),
+                                 ctx.measure_types());
+    const size_t values = time.num_values();
+    bool needs_intern = false;
+    ASSERT_TRUE(ReadFactCsv(&batch, kInsertCsv, &needs_intern).ok());
+    EXPECT_TRUE(needs_intern);
+    EXPECT_EQ(time.num_values(), values);
+  }
+  auto& registry = obs::MetricsRegistry::Global();
+  obs::Counter& refreshes = registry.GetCounter("dwred_cache_query_refreshes");
+  obs::Counter& misses = registry.GetCounter("dwred_cache_query_misses");
+
+  Client c = Connect();
+  Request ins;
+  ins.cmd = Command::kInsert;
+  ins.a = kInsertCsv;
+  for (const bool interns : {true, false}) {
+    SCOPED_TRACE(interns ? "interning insert" : "lookup-only insert");
+    auto warm = c.Call(QueryReq());  // caches the maintained answer
+    ASSERT_TRUE(warm.ok());
+    ASSERT_EQ(warm.value().code, StatusCode::kOk) << warm.value().message;
+    const size_t values = time.num_values();
+    auto r = c.Call(ins);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r.value().code, StatusCode::kOk) << r.value().message;
+    EXPECT_EQ(time.num_values() > values, interns);
+    {
+      const MultidimensionalObject& ctx = twin->context();
+      MultidimensionalObject batch(ctx.fact_type(), ctx.dimensions(),
+                                   ctx.measure_types());
+      ASSERT_TRUE(ReadFactCsv(&batch, kInsertCsv).ok());
+      ASSERT_TRUE(twin->InsertBottomFacts(batch).ok());
+    }
+    EXPECT_EQ(WarehouseCrc(*mgr_), WarehouseCrc(*twin));
+
+    const uint64_t refreshes0 = refreshes.Value(), misses0 = misses.Value();
+    auto q = c.Call(QueryReq());
+    ASSERT_TRUE(q.ok());
+    ASSERT_EQ(q.value().code, StatusCode::kOk) << q.value().message;
+    if (cache::Enabled()) {
+      // New values change the extents: the entry is evaluated afresh.
+      EXPECT_EQ(refreshes.Value(), refreshes0 + (interns ? 0 : 1));
+      EXPECT_EQ(misses.Value(), misses0 + (interns ? 1 : 0));
+    }
+    EXPECT_EQ(q.value().body, EmbeddedQueryBytes(*twin, /*parallel=*/false));
+  }
+}
+
 // Spec change over the wire: a valid specification swaps the layout (same
 // CRC as the embedded twin); an invalid one is rejected with the parser's
 // diagnostic and leaves the epoch unbumped.
